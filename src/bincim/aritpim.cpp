@@ -1,65 +1,77 @@
 #include "bincim/aritpim.hpp"
 
 #include <stdexcept>
-#include <vector>
 
 namespace aimsc::bincim {
 
 namespace {
 
-std::vector<bool> toBits(std::uint32_t v, int bits) {
-  std::vector<bool> out(static_cast<std::size_t>(bits));
-  for (int i = 0; i < bits; ++i) out[static_cast<std::size_t>(i)] = (v >> i) & 1u;
-  return out;
-}
+// Data-independent MAGIC gate counts of the decomposition in gates.cpp.
+constexpr std::uint64_t kAndGates = 3;          // NOR(NOT a, NOT b)
+constexpr std::uint64_t kFullAdderGates = 18;   // 2 XOR (5) + 2 AND (3) + OR (2)
+constexpr std::uint64_t kSubtractGates = kFullAdderGates + 1;  // + NOT b_i
 
-std::uint32_t fromBits(const std::vector<bool>& bits) {
-  std::uint32_t v = 0;
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    if (bits[i]) v |= std::uint32_t{1} << i;
-  }
-  return v;
+std::uint32_t lowBits(std::uint32_t v, int bits) {
+  return v & ((std::uint32_t{1} << bits) - 1);
 }
 
 }  // namespace
 
-std::uint32_t AritPim::add(std::uint32_t a, std::uint32_t b, int bits) {
-  if (bits < 1 || bits > 31) throw std::invalid_argument("AritPim::add: bad width");
-  const auto av = toBits(a, bits);
-  const auto bv = toBits(b, bits);
-  std::vector<bool> sum(static_cast<std::size_t>(bits) + 1);
-  bool carry = false;
+bool AritPim::subtractGates(std::uint32_t a, std::uint32_t b, int bits,
+                            std::uint32_t& diff) {
+  // a + ~b + 1 ripple: the carry-out is 1 iff a >= b (no borrow).
+  diff = 0;
+  bool carry = true;
   for (int i = 0; i < bits; ++i) {
-    const auto fa = engine_.fullAdder(av[static_cast<std::size_t>(i)],
-                                      bv[static_cast<std::size_t>(i)], carry);
-    sum[static_cast<std::size_t>(i)] = fa.sum;
+    const bool nb = engine_.notGate((b >> i) & 1u);
+    const auto fa = engine_.fullAdder((a >> i) & 1u, nb, carry);
+    diff |= std::uint32_t{fa.sum} << i;
     carry = fa.carry;
   }
-  sum[static_cast<std::size_t>(bits)] = carry;
-  return fromBits(sum);
+  return carry;
+}
+
+std::uint32_t AritPim::add(std::uint32_t a, std::uint32_t b, int bits) {
+  if (bits < 1 || bits > 31) throw std::invalid_argument("AritPim::add: bad width");
+  a = lowBits(a, bits);
+  b = lowBits(b, bits);
+  if (engine_.faultFree()) {
+    engine_.chargeFaultFree(kFullAdderGates * static_cast<std::uint64_t>(bits));
+    return a + b;
+  }
+  std::uint32_t sum = 0;
+  bool carry = false;
+  for (int i = 0; i < bits; ++i) {
+    const auto fa = engine_.fullAdder((a >> i) & 1u, (b >> i) & 1u, carry);
+    sum |= std::uint32_t{fa.sum} << i;
+    carry = fa.carry;
+  }
+  return sum | (std::uint32_t{carry} << bits);
 }
 
 std::uint32_t AritPim::subSaturating(std::uint32_t a, std::uint32_t b, int bits) {
   if (bits < 1 || bits > 31) throw std::invalid_argument("AritPim::sub: bad width");
-  const auto av = toBits(a, bits);
-  const auto bv = toBits(b, bits);
-  std::vector<bool> diff(static_cast<std::size_t>(bits));
-  bool carry = true;  // +1 of the two's complement
-  for (int i = 0; i < bits; ++i) {
-    const bool nb = engine_.notGate(bv[static_cast<std::size_t>(i)]);
-    const auto fa = engine_.fullAdder(av[static_cast<std::size_t>(i)], nb, carry);
-    diff[static_cast<std::size_t>(i)] = fa.sum;
-    carry = fa.carry;
+  a = lowBits(a, bits);
+  b = lowBits(b, bits);
+  if (engine_.faultFree()) {
+    engine_.chargeFaultFree(kSubtractGates * static_cast<std::uint64_t>(bits));
+    return a >= b ? a - b : 0;
   }
-  // carry == 0 -> borrow -> negative -> clamp to 0.
-  if (!carry) return 0;
-  return fromBits(diff);
+  // A borrow (carry-out 0) means a negative result: clamp to 0.
+  std::uint32_t diff = 0;
+  return subtractGates(a, b, bits, diff) ? diff : 0;
 }
 
 std::uint32_t AritPim::mul(std::uint32_t a, std::uint32_t b, int bits) {
   if (bits < 1 || bits > 15) throw std::invalid_argument("AritPim::mul: bad width");
-  std::uint32_t acc = 0;
   const int accBits = 2 * bits;
+  if (engine_.faultFree()) {
+    // Per multiplier bit: `bits` partial-product ANDs + one accBits add.
+    const auto n = static_cast<std::uint64_t>(bits);
+    engine_.chargeFaultFree((kAndGates + 2 * kFullAdderGates) * n * n);
+    return lowBits(a, bits) * lowBits(b, bits);
+  }
+  std::uint32_t acc = 0;
   for (int i = 0; i < bits; ++i) {
     // Partial product: AND of b's bit i with every bit of a, shifted by i.
     std::uint32_t pp = 0;
@@ -68,7 +80,7 @@ std::uint32_t AritPim::mul(std::uint32_t a, std::uint32_t b, int bits) {
       const bool pj = engine_.andGate(bi, (a >> j) & 1u);
       if (pj) pp |= std::uint32_t{1} << (i + j);
     }
-    acc = add(acc, pp, accBits) & ((std::uint32_t{1} << accBits) - 1);
+    acc = lowBits(add(acc, pp, accBits), accBits);
   }
   return acc;
 }
@@ -80,27 +92,24 @@ std::uint32_t AritPim::div(std::uint32_t num, std::uint32_t den, int numBits,
   }
   const std::uint32_t qMax = (std::uint32_t{1} << numBits) - 1;
   // Restoring division over numBits quotient bits; remainder width is
-  // denBits + 1.  A zero denominator saturates (matches the catastrophic
+  // denBits + 2.  A zero denominator saturates (matches the catastrophic
   // behaviour the paper observes for faulty integer division in matting).
+  const int remBits = denBits + 2;
+  const std::uint32_t d = lowBits(den, remBits);
+  const bool closedForm = engine_.faultFree();
+  if (closedForm) {
+    engine_.chargeFaultFree(kSubtractGates * static_cast<std::uint64_t>(numBits) *
+                            static_cast<std::uint64_t>(remBits));
+  }
   std::uint32_t rem = 0;
   std::uint32_t q = 0;
-  const int remBits = denBits + 2;
   for (int i = numBits - 1; i >= 0; --i) {
-    rem = (rem << 1) | ((num >> i) & 1u);
-    rem &= (std::uint32_t{1} << remBits) - 1;
-    // Trial subtraction rem - den through the gate engine.
-    const auto rv = toBits(rem, remBits);
-    const auto dv = toBits(den, remBits);
-    std::vector<bool> diff(static_cast<std::size_t>(remBits));
-    bool carry = true;
-    for (int j = 0; j < remBits; ++j) {
-      const bool nd = engine_.notGate(dv[static_cast<std::size_t>(j)]);
-      const auto fa = engine_.fullAdder(rv[static_cast<std::size_t>(j)], nd, carry);
-      diff[static_cast<std::size_t>(j)] = fa.sum;
-      carry = fa.carry;
-    }
-    if (carry) {  // rem >= den: commit subtraction, set quotient bit
-      rem = fromBits(diff);
+    rem = lowBits((rem << 1) | ((num >> i) & 1u), remBits);
+    // Trial subtraction rem - den, in closed form or through the gates.
+    std::uint32_t diff = rem - d;
+    const bool fits = closedForm ? rem >= d : subtractGates(rem, d, remBits, diff);
+    if (fits) {  // rem >= den: commit subtraction, set quotient bit
+      rem = diff;
       q |= std::uint32_t{1} << i;
     }
   }

@@ -11,6 +11,13 @@
 /// Complexities mirror the paper's discussion: addition O(n) (ripple),
 /// multiplication O(n^2) (shift-add), division O(n^2) (restoring, "requires
 /// O(n^2) write cycles").
+///
+/// Gate counts are data-independent, so on a fault-free engine (no
+/// FaultModel attached: no gate can misdecide, no RNG is drawn) every op
+/// computes its integer result directly and charges the same gate count in
+/// one call.  With a FaultModel attached every gate runs through the engine
+/// — the device-variability path, and the oracle the closed form is tested
+/// against.
 #pragma once
 
 #include <cstdint>
@@ -40,6 +47,11 @@ class AritPim {
   MagicEngine& engine() { return engine_; }
 
  private:
+  /// Gate-level a + ~b + 1 over \p bits into \p diff; returns the
+  /// carry-out (1 iff a >= b).
+  bool subtractGates(std::uint32_t a, std::uint32_t b, int bits,
+                     std::uint32_t& diff);
+
   MagicEngine& engine_;
 };
 

@@ -6,6 +6,14 @@ MagicEngine::MagicEngine(const reram::FaultModel* faultModel, std::uint64_t seed
                          double faultScale)
     : faultModel_(faultModel), faultScale_(faultScale), eng_(seed) {}
 
+void MagicEngine::chargeFaultFree(std::uint64_t gates) {
+  switch (protection_) {
+    case Protection::None: gateOps_ += gates; return;
+    case Protection::Dmr: gateOps_ += 2 * gates; return;
+    case Protection::Tmr: gateOps_ += 3 * gates; return;
+  }
+}
+
 bool MagicEngine::injectOnce(bool ideal, double p) {
   ++gateOps_;
   if (p > 0.0 && unit_(eng_) < p) return !ideal;

@@ -55,6 +55,16 @@ class MagicEngine {
   /// Full adder composed of the primitives above.
   FullAdderOut fullAdder(bool a, bool b, bool cin);
 
+  /// True when no FaultModel is attached: every gate decides ideally and
+  /// draws no randomness, so a caller may compute a gate network's result
+  /// in closed form and charge its count through chargeFaultFree().
+  bool faultFree() const { return faultModel_ == nullptr; }
+
+  /// Charges \p gates fault-free primitive executions under the current
+  /// protection: x1 None, x2 Dmr (the two executions always agree), x3
+  /// Tmr — exactly what the gate path counts when no gate can fail.
+  void chargeFaultFree(std::uint64_t gates);
+
   /// Total primitive gate executions (MAGIC write cycles) so far.
   std::uint64_t gateOps() const { return gateOps_; }
   void resetCounter() { gateOps_ = 0; }

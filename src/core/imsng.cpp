@@ -94,6 +94,12 @@ std::size_t Imsng::sensingStepsPerConversion(std::uint32_t x) const {
 }
 
 sc::Bitstream Imsng::generateThreshold(std::uint32_t x) {
+  sc::Bitstream result;
+  senseThresholdInto(x, result);
+  return result;
+}
+
+void Imsng::senseThresholdInto(std::uint32_t x, sc::Bitstream& dst) {
   const std::size_t n = array_.cols();
   const int m = config_.mBits;
   const std::uint32_t full = std::uint32_t{1} << m;
@@ -103,45 +109,44 @@ sc::Bitstream Imsng::generateThreshold(std::uint32_t x) {
   auto& log = array_.events();
   const std::size_t chargedSteps = sensingStepsPerConversion(x >= full ? full - 1 : x);
 
-  sc::Bitstream result(n);
   std::size_t dataflowReads = 0;
 
   if (x == full) {
     // p = 1.0: the comparator network degenerates to constant true.
-    result = sc::Bitstream(n, true);
+    dst.assign(n, true);
   } else {
     // FFlag chain in L1 (starts all-equal = all ones), result accumulates
     // in L0.  Per bit, MSB..LSB (planes stored MSB first):
     //   A_i = 1: result |= FFlag AND NOT RN_i ;  FFlag &= RN_i
     //   A_i = 0: FFlag &= NOT RN_i
     // Each AND is one sensing step; complemented latch operands are free
-    // (the periphery drives the bitline voltage, Fig. 1c).
-    periphery_.captureL1(sc::Bitstream(n, true));
-    periphery_.captureL0(sc::Bitstream(n));
+    // (the periphery drives the bitline voltage, Fig. 1c).  The sensed
+    // values stage through member scratch, so a warm conversion does not
+    // allocate.
+    flagScratch_.assign(n, true);
+    periphery_.captureL1(flagScratch_);
+    flagScratch_.assign(n, false);
+    periphery_.captureL0(flagScratch_);
     for (int i = 0; i < m; ++i) {
       const bool aBit = (x >> (m - 1 - i)) & 1u;
       const std::size_t plane = planeBase_ + static_cast<std::size_t>(i);
       const sc::Bitstream& rn = array_.row(plane);
-      const sc::Bitstream flag = periphery_.l1();
+      sc::Bitstream::notInto(notFlagScratch_, periphery_.l1());
       if (aBit) {
         // term = FFlag AND NOT RN_i  ==  NOR(NOT FFlag, RN_i)
-        const sc::Bitstream notFlag = ~flag;
-        const sc::Bitstream term = scouting_.op2(SlOp::Nor, notFlag, rn);
+        scouting_.op2Into(SlOp::Nor, senseScratch_, notFlagScratch_, rn);
         ++dataflowReads;
-        periphery_.accumulateL0(term);
+        periphery_.accumulateL0(senseScratch_);
         // FFlag = FFlag AND RN_i (predicated sensing in the latch pair)
-        const sc::Bitstream newFlag = scouting_.op2(SlOp::And, flag, rn);
-        ++dataflowReads;
-        periphery_.captureL1(newFlag);
+        scouting_.op2Into(SlOp::And, senseScratch_, periphery_.l1(), rn);
       } else {
         // FFlag = FFlag AND NOT RN_i
-        const sc::Bitstream notFlag = ~flag;
-        const sc::Bitstream newFlag = scouting_.op2(SlOp::Nor, notFlag, rn);
-        ++dataflowReads;
-        periphery_.captureL1(newFlag);
+        scouting_.op2Into(SlOp::Nor, senseScratch_, notFlagScratch_, rn);
       }
+      ++dataflowReads;
+      periphery_.captureL1(senseScratch_);
     }
-    result = periphery_.l0();
+    dst = periphery_.l0();
   }
 
   // Cost parity with the paper's operation count: the dataflow above issued
@@ -157,16 +162,9 @@ sc::Bitstream Imsng::generateThreshold(std::uint32_t x) {
 
   // Both variants commit the final SBS once ("at least one write").
   if (config_.commitResult) {
-    periphery_.captureL0(result);
+    periphery_.captureL0(dst);
     periphery_.commit(config_.outputRow);
   }
-  return result;
-}
-
-sc::Bitstream Imsng::computeThresholdStream(std::uint32_t x) {
-  sc::Bitstream result;
-  computeThresholdStreamInto(x, result);
-  return result;
 }
 
 void Imsng::computeThresholdStreamInto(std::uint32_t x, sc::Bitstream& dst) {
@@ -264,9 +262,9 @@ void Imsng::encodeBatchInto(std::span<const std::uint32_t> thresholds,
     // Fault-injecting fidelities draw per-step misdecisions from the lane's
     // RNG streams, and temporal-redundancy voting charges votes() reads per
     // step; run the real dataflow so statistics and accounting stay
-    // faithful (allocation-freedom is not promised off the Ideal path).
+    // faithful (allocation-free when warm, except under voting).
     for (std::size_t i = 0; i < thresholds.size(); ++i) {
-      *outs[i] = generateThreshold(thresholds[i]);
+      senseThresholdInto(thresholds[i], *outs[i]);
     }
     return;
   }

@@ -137,9 +137,12 @@ class Imsng {
   std::size_t sensingStepsPerConversion(std::uint32_t x) const;
 
  private:
-  /// Word-level comparator identical to the Ideal scouting dataflow.
-  sc::Bitstream computeThresholdStream(std::uint32_t x);
-  /// Same bits into \p dst (resized, buffer reused).
+  /// The scouting FFlag dataflow through the latch pair (every fidelity;
+  /// faults are drawn per sensing step) into \p dst, with its charges and
+  /// commit.  generateThreshold() and the non-Ideal batch path both run it.
+  void senseThresholdInto(std::uint32_t x, sc::Bitstream& dst);
+  /// Word-level comparator identical to the Ideal scouting dataflow, into
+  /// \p dst (resized, buffer reused).
   void computeThresholdStreamInto(std::uint32_t x, sc::Bitstream& dst);
   /// Charges the per-conversion schedule + commit for threshold \p x.
   void chargeConversion(std::uint32_t x, const sc::Bitstream& result);
@@ -158,7 +161,9 @@ class Imsng {
   std::optional<reram::WearLeveler> wear_;  ///< plane-base rotation (opt-in)
   std::size_t planeBase_ = 0;  ///< base row of the current plane set
   bool planesReady_ = false;
-  sc::Bitstream flagScratch_;  ///< FFlag chain buffer for the batch path
+  sc::Bitstream flagScratch_;  ///< FFlag chain / latch-reset buffer
+  sc::Bitstream notFlagScratch_;  ///< NOT FFlag bitline operand
+  sc::Bitstream senseScratch_;    ///< sensed value before its latch update
   // Per-epoch comparator byte cache (M = 8, Ideal sensing): the plane rows
   // untransposed into the per-column random numbers R_j, served through the
   // packed RandomPlanes comparator (x > R_j == R_j < x, the identical

@@ -9,11 +9,25 @@ FaultModel::FaultModel(const DeviceParams& params, std::uint64_t seed,
                        std::size_t samples)
     : params_(params), seed_(seed), samples_(samples) {
   if (samples_ == 0) throw std::invalid_argument("FaultModel: zero samples");
+  for (auto& slot : slots_) slot.store(-1.0, std::memory_order_relaxed);
 }
 
 double FaultModel::misdecisionProb(SlOp op, int onesCount, int numRows) const {
   if (onesCount < 0 || onesCount > numRows || numRows < 1) {
     throw std::invalid_argument("FaultModel: bad pattern");
+  }
+  if (numRows <= kSlotRows) {
+    // Rows r occupy slots [(r-1)(r+2)/2, ...) of the op's block, one per
+    // ones count 0..r.
+    const auto inBlock = static_cast<std::size_t>(
+        (numRows - 1) * (numRows + 2) / 2 + onesCount);
+    auto& slot = slots_[static_cast<std::size_t>(op) * kSlotsPerOp + inBlock];
+    double p = slot.load(std::memory_order_acquire);
+    if (p < 0.0) {
+      p = compute(op, onesCount, numRows);
+      slot.store(p, std::memory_order_release);
+    }
+    return p;
   }
   const auto key = std::make_tuple(op, onesCount, numRows);
   {

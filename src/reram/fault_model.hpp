@@ -11,6 +11,8 @@
 /// Results are cached per pattern; a run with sigma = 0 yields 0 everywhere.
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -29,10 +31,13 @@ class FaultModel {
                       std::uint64_t seed = 0xfa017, std::size_t samples = 100000);
 
   /// Probability that the SL output for \p op is wrong when \p onesCount of
-  /// the \p numRows activated cells on a bitline store '1'.  Thread-safe:
-  /// the memo table is mutex-guarded, so one model may be shared across
-  /// tile-executor lanes (each entry is computed from its own deterministic
-  /// seed, so results never depend on which lane queries first).
+  /// the \p numRows activated cells on a bitline store '1'.  Thread-safe,
+  /// so one model may be shared across tile-executor lanes: each entry is
+  /// computed from its own deterministic seed, so results never depend on
+  /// which lane queries first.  Patterns over 1..3 rows (every scouting op
+  /// of the SC data paths and every MAGIC gate) are memoized in a fixed
+  /// slot table read lock-free and without allocation; wider patterns fall
+  /// back to a mutex-guarded map.
   double misdecisionProb(SlOp op, int onesCount, int numRows) const;
 
   /// Worst case over all input patterns (reported in diagnostics).
@@ -43,11 +48,19 @@ class FaultModel {
  private:
   double compute(SlOp op, int onesCount, int numRows) const;
 
+  static constexpr int kSlotRows = 3;  ///< widest pattern in the slot table
+  static constexpr std::size_t kSlotsPerOp = 9;  ///< (rows, ones), rows 1..3
+  static constexpr std::size_t kOps = static_cast<std::size_t>(SlOp::Not) + 1;
+
   DeviceParams params_;
   std::uint64_t seed_;
   std::size_t samples_;
+  /// Once-published memo for numRows <= kSlotRows; a negative slot is
+  /// empty.  A racing lane recomputes the identical value, so a second
+  /// publish is harmless.
+  mutable std::array<std::atomic<double>, kOps * kSlotsPerOp> slots_;
   mutable std::mutex mutex_;  ///< guards cache_ (lanes may share one model)
-  mutable std::map<std::tuple<SlOp, int, int>, double> cache_;
+  mutable std::map<std::tuple<SlOp, int, int>, double> cache_;  ///< rows > 3
 };
 
 }  // namespace aimsc::reram

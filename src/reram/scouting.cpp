@@ -3,7 +3,6 @@
 #include <array>
 #include <bit>
 #include <stdexcept>
-#include <unordered_set>
 
 namespace aimsc::reram {
 
@@ -37,7 +36,10 @@ std::size_t selectNthSetBit(const sc::Bitstream& s, std::size_t nth) {
 void ScoutingLogic::patternMasksInto(Operands ops) {
   using sc::Bitstream;
   const std::size_t n = ops.front()->size();
-  maskScratch_.resize(ops.size() + 1);
+  // Grow only: a narrower op must not free the buffers a wider one reuses.
+  if (maskScratch_.size() < ops.size() + 1) {
+    maskScratch_.resize(ops.size() + 1);
+  }
   switch (ops.size()) {
     case 1: {
       const Bitstream& a = *ops[0];
@@ -290,8 +292,12 @@ void ScoutingLogic::senseOnceInto(
   if (fidelity_ == Fidelity::Ideal) return;
 
   // Probabilistic mode: per pattern class, flip a Binomial(count, p) number
-  // of uniformly chosen columns.  Equivalent in distribution to per-column
-  // Bernoulli flips but O(words + flips) instead of O(columns).
+  // of distinct uniformly chosen columns (a repeated pick is redrawn).
+  // Equivalent in distribution to per-column Bernoulli flips but
+  // O(words + flips) instead of O(columns).  The classes are disjoint, so
+  // one reused column bitmap collects every class's flips and toggles them
+  // in one XOR.
+  bool flipped = false;
   for (int ones = 0; ones <= numRows; ++ones) {
     const sc::Bitstream& mask = masks[static_cast<std::size_t>(ones)];
     const std::size_t cnt = mask.popcount();
@@ -301,14 +307,20 @@ void ScoutingLogic::senseOnceInto(
     std::binomial_distribution<std::size_t> binom(cnt, p);
     const std::size_t flips = binom(eng_);
     if (flips == 0) continue;
-    std::unordered_set<std::size_t> chosen;
+    if (!flipped) {
+      flipScratch_.assign(width, false);
+      flipped = true;
+    }
     std::uniform_int_distribution<std::size_t> pick(0, cnt - 1);
-    while (chosen.size() < flips) chosen.insert(pick(eng_));
-    for (const std::size_t nth : chosen) {
-      const std::size_t col = selectNthSetBit(mask, nth);
-      out.set(col, !out.get(col));
+    for (std::size_t chosen = 0; chosen < flips;) {
+      const std::size_t col = selectNthSetBit(mask, pick(eng_));
+      if (!flipScratch_.get(col)) {
+        flipScratch_.set(col, true);
+        ++chosen;
+      }
     }
   }
+  if (flipped) out ^= flipScratch_;
 }
 
 }  // namespace aimsc::reram

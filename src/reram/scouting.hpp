@@ -82,6 +82,8 @@ class ScoutingLogic {
   Fidelity fidelity() const { return fidelity_; }
   int votes() const { return votes_; }
   CrossbarArray& array() { return array_; }
+  /// Misdecision RNG (read-only): its state pins the draw sequence.
+  const std::mt19937_64& rng() const { return eng_; }
 
  private:
   sc::Bitstream execute(SlOp op, Operands operands);
@@ -112,6 +114,7 @@ class ScoutingLogic {
   sc::Bitstream tmpA_;
   sc::Bitstream tmpB_;
   sc::Bitstream tmpC_;
+  sc::Bitstream flipScratch_;  ///< Probabilistic-mode misdecision columns
 };
 
 }  // namespace aimsc::reram

@@ -1,5 +1,8 @@
 #include "sc/bernstein.hpp"
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 
@@ -34,11 +37,36 @@ void scBernsteinSelectInto(Bitstream& dst,
       throw std::invalid_argument("scBernsteinSelect: width mismatch");
     }
   }
+  // Bit-sliced select, one 64-column word at a time: a vertical binary
+  // counter (plane b = bit b of every column's ones-count) accumulates the
+  // x copies, "exactly k ones" is the AND of plane / ~plane per bit of k,
+  // and the output ORs mask_k & coeff_k.  Zero tails count as 0 ones and
+  // coeff_0's tail is zero, so the output tail stays zero.
+  const std::size_t degree = xCopies.size();
+  const int planes = std::bit_width(degree);
   dst.assign(width, false);
-  for (std::size_t i = 0; i < width; ++i) {
-    std::size_t ones = 0;
-    for (const auto* s : xCopies) ones += s->get(i) ? 1 : 0;
-    if (coeffs[ones]->get(i)) dst.set(i, true);
+  auto& out = dst.mutableWords();
+  std::array<std::uint64_t, 64> count{};
+  for (std::size_t w = 0; w < out.size(); ++w) {
+    std::fill_n(count.begin(), planes, std::uint64_t{0});
+    for (const auto* s : xCopies) {
+      std::uint64_t carry = s->words()[w];
+      for (int b = 0; b < planes && carry != 0; ++b) {
+        const std::uint64_t next = count[static_cast<std::size_t>(b)] & carry;
+        count[static_cast<std::size_t>(b)] ^= carry;
+        carry = next;
+      }
+    }
+    std::uint64_t word = 0;
+    for (std::size_t k = 0; k <= degree; ++k) {
+      std::uint64_t exactlyK = coeffs[k]->words()[w];
+      for (int b = 0; b < planes; ++b) {
+        const std::uint64_t plane = count[static_cast<std::size_t>(b)];
+        exactlyK &= ((k >> b) & 1u) != 0 ? plane : ~plane;
+      }
+      word |= exactlyK;
+    }
+    out[w] = word;
   }
 }
 

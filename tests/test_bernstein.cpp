@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <random>
 
 #include "sc/bernstein.hpp"
 #include "sc/sng.hpp"
@@ -89,6 +90,81 @@ TEST(BernsteinSelect, ExpectedValueMatchesFormula) {
   Mt19937Source src(44);
   const Bitstream out = scBernsteinEvaluate(src, x, b, 8, 32768);
   EXPECT_NEAR(out.value(), bernsteinValue(b, x), 0.03);
+}
+
+
+// --- bit-sliced select vs the per-column reference ----------------------------
+
+/// The per-column select loop the word-level kernel replaced: count the x
+/// copies' ones at column i, then copy that coefficient's bit.
+Bitstream referenceSelect(const std::vector<Bitstream>& xCopies,
+                          const std::vector<Bitstream>& coeffs) {
+  const std::size_t width = xCopies.front().size();
+  Bitstream dst;
+  dst.assign(width, false);
+  for (std::size_t i = 0; i < width; ++i) {
+    std::size_t ones = 0;
+    for (const auto& s : xCopies) ones += s.get(i) ? 1 : 0;
+    if (coeffs[ones].get(i)) dst.set(i, true);
+  }
+  return dst;
+}
+
+Bitstream randomStream(std::mt19937_64& rng, std::size_t width, double p) {
+  std::bernoulli_distribution bit(p);
+  Bitstream s(width);
+  for (std::size_t i = 0; i < width; ++i) s.set(i, bit(rng));
+  return s;
+}
+
+TEST(BernsteinSelect, BitSlicedMatchesPerColumnReference) {
+  std::mt19937_64 rng(2024);
+  const auto check = [&rng](std::size_t width, std::size_t degree, double px) {
+    std::vector<Bitstream> xCopies;
+    for (std::size_t j = 0; j < degree; ++j) {
+      xCopies.push_back(randomStream(rng, width, px));
+    }
+    std::vector<Bitstream> coeffs;
+    for (std::size_t k = 0; k <= degree; ++k) {
+      coeffs.push_back(randomStream(rng, width, 0.5));
+    }
+    const Bitstream got = scBernsteinSelect(xCopies, coeffs);
+    ASSERT_EQ(got, referenceSelect(xCopies, coeffs))
+        << "degree " << degree << " width " << width << " px " << px;
+    // Zero-tail invariant: bits past size() in the last word stay clear.
+    if (width % 64 != 0) {
+      EXPECT_EQ(got.words().back() >> (width % 64), 0u);
+    }
+  };
+  // Degrees 1..8 plus counter-plane boundaries (63/64 and 255/256 copies
+  // need 6/7 and 8/9 count planes; the select accepts any degree), at
+  // widths that end mid-word, on a word boundary and one past it.  Each
+  // case runs a random copy density and the extremes where every column
+  // counts 0 resp. `degree` ones (the top count needs the widest plane).
+  const std::vector<std::size_t> degrees = {1, 2, 3, 4, 5, 6, 7, 8,
+                                            63, 64, 255, 256};
+  for (const std::size_t width : {1u, 63u, 64u, 65u, 256u, 1000u}) {
+    for (const std::size_t degree : degrees) {
+      check(width, degree, static_cast<double>(rng() % 1001) / 1000.0);
+      check(width, degree, 0.0);
+      check(width, degree, 1.0);
+    }
+  }
+}
+
+TEST(BernsteinSelect, IntoReusesADirtyDestination) {
+  std::mt19937_64 rng(7);
+  std::vector<Bitstream> xCopies;
+  for (int j = 0; j < 4; ++j) xCopies.push_back(randomStream(rng, 65, 0.4));
+  std::vector<Bitstream> coeffs;
+  for (int k = 0; k <= 4; ++k) coeffs.push_back(randomStream(rng, 65, 0.6));
+  std::vector<const Bitstream*> xs;
+  for (const auto& s : xCopies) xs.push_back(&s);
+  std::vector<const Bitstream*> cs;
+  for (const auto& s : coeffs) cs.push_back(&s);
+  Bitstream dst(300, true);  // wider, all ones: nothing may leak through
+  scBernsteinSelectInto(dst, xs, cs);
+  EXPECT_EQ(dst, referenceSelect(xCopies, coeffs));
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 // fault-free, gate-count complexity, fault vulnerability).
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "bincim/aritpim.hpp"
 
 namespace aimsc::bincim {
@@ -166,6 +168,132 @@ TEST(AritPim, FaultFreeWithNullModel) {
   MagicEngine e(nullptr);
   AritPim pim(e);
   for (int i = 0; i < 50; ++i) EXPECT_EQ(pim.mul(123, 45, 8), 123u * 45u);
+}
+
+
+// --- closed form vs gate path -------------------------------------------------
+// A bare engine computes AritPim results in closed form; the same engine
+// holding an ideal-device FaultModel runs every gate with p == 0.  Values
+// and gate ledgers must agree under every protection mode.
+
+class ClosedFormOracle
+    : public ::testing::TestWithParam<MagicEngine::Protection> {
+ protected:
+  ClosedFormOracle() : model_(reram::DeviceParams::ideal(), 3, 16), gates_(&model_) {
+    closed_.setProtection(GetParam());
+    gates_.setProtection(GetParam());
+  }
+
+  /// Runs \p op on both engines; false on a disagreement in value or in
+  /// charged gates.
+  template <typename Op>
+  bool agree(Op op) {
+    const std::uint64_t closedBefore = closed_.gateOps();
+    const std::uint64_t gatesBefore = gates_.gateOps();
+    const std::uint32_t closedValue = op(closedPim_);
+    const std::uint32_t gateValue = op(gatesPim_);
+    return closedValue == gateValue &&
+           closed_.gateOps() - closedBefore == gates_.gateOps() - gatesBefore;
+  }
+
+  reram::FaultModel model_;
+  MagicEngine closed_;
+  MagicEngine gates_;
+  AritPim closedPim_{closed_};
+  AritPim gatesPim_{gates_};
+};
+
+TEST_P(ClosedFormOracle, AddAndSubExhaustive8To10Bit) {
+  // Exhaustive at every width without protection; the redundant modes
+  // (same values, 2x/3x the gates) sweep 8 bits exhaustively and every
+  // 7th subtrahend at 9 and 10 bits to bound the gate-path run time.
+  const bool redundant = GetParam() != MagicEngine::Protection::None;
+  for (int bits = 8; bits <= 10; ++bits) {
+    const std::uint32_t n = 1u << bits;
+    const std::uint32_t step = redundant && bits > 8 ? 7 : 1;
+    for (std::uint32_t a = 0; a < n; ++a) {
+      for (std::uint32_t b = a % step; b < n; b += step) {
+        ASSERT_TRUE(agree([&](AritPim& p) { return p.add(a, b, bits); }))
+            << a << "+" << b << " @" << bits;
+        ASSERT_TRUE(agree([&](AritPim& p) { return p.subSaturating(a, b, bits); }))
+            << a << "-" << b << " @" << bits;
+      }
+    }
+  }
+}
+
+TEST_P(ClosedFormOracle, MulAll8BitPairs) {
+  for (std::uint32_t a = 0; a < 256; ++a) {
+    for (std::uint32_t b = 0; b < 256; ++b) {
+      ASSERT_TRUE(agree([&](AritPim& p) { return p.mul(a, b, 8); }))
+          << a << "*" << b;
+    }
+  }
+}
+
+TEST_P(ClosedFormOracle, DivSampled16By8IncludingZero) {
+  std::mt19937_64 rng(17);
+  for (int i = 0; i < 4000; ++i) {
+    const auto num = static_cast<std::uint32_t>(rng() & 0xffff);
+    const auto den = i % 16 == 0 ? 0u : static_cast<std::uint32_t>(rng() & 0xff);
+    ASSERT_TRUE(agree([&](AritPim& p) { return p.div(num, den, 16, 8); }))
+        << num << "/" << den;
+  }
+}
+
+TEST_P(ClosedFormOracle, OperandsWiderThanTheirWidth) {
+  // Every op reads only the low bits of its operands (div: denominator
+  // bits up to denBits + 2, the remainder width).
+  std::mt19937_64 rng(23);
+  for (int i = 0; i < 3000; ++i) {
+    const auto a = static_cast<std::uint32_t>(rng());
+    const auto b = static_cast<std::uint32_t>(rng());
+    const int bits = 1 + static_cast<int>(rng() % 12);
+    ASSERT_TRUE(agree([&](AritPim& p) { return p.add(a, b, bits); }));
+    ASSERT_TRUE(agree([&](AritPim& p) { return p.subSaturating(a, b, bits); }));
+    ASSERT_TRUE(agree([&](AritPim& p) { return p.mul(a, b, bits); }));
+    // Denominators past denBits and past the remainder width exercise
+    // the truncation to denBits + 2 bits.
+    const std::uint32_t den = (a >> 7) & 0xfff;
+    ASSERT_TRUE(agree([&](AritPim& p) { return p.div(b, den, 16, 8); }))
+        << b << "/" << den;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Protections, ClosedFormOracle,
+    ::testing::Values(MagicEngine::Protection::None,
+                      MagicEngine::Protection::Dmr,
+                      MagicEngine::Protection::Tmr),
+    [](const ::testing::TestParamInfo<MagicEngine::Protection>& info) {
+      switch (info.param) {
+        case MagicEngine::Protection::None: return std::string("None");
+        case MagicEngine::Protection::Dmr: return std::string("Dmr");
+        case MagicEngine::Protection::Tmr: return std::string("Tmr");
+      }
+      return std::string("Unknown");
+    });
+
+TEST(AritPim, ClosedFormGateCounts) {
+  // Data-independent ledgers: FA = 18 gates, subtract = 19 per bit,
+  // mul = 39 * bits^2, div = numBits * (denBits + 2) * 19.
+  MagicEngine e;
+  AritPim pim(e);
+  pim.add(3, 5, 8);
+  EXPECT_EQ(e.gateOps(), 18u * 8);
+  e.resetCounter();
+  pim.subSaturating(3, 5, 8);
+  EXPECT_EQ(e.gateOps(), 19u * 8);
+  e.resetCounter();
+  pim.mul(3, 5, 8);
+  EXPECT_EQ(e.gateOps(), 39u * 64);
+  e.resetCounter();
+  pim.div(300, 7, 16, 8);
+  EXPECT_EQ(e.gateOps(), 16u * 10 * 19);
+  e.resetCounter();
+  e.setProtection(MagicEngine::Protection::Tmr);
+  pim.add(3, 5, 8);
+  EXPECT_EQ(e.gateOps(), 3u * 18 * 8);
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
 // Fault model: Monte-Carlo misdecision probabilities from device overlap.
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <vector>
+
 #include "reram/fault_model.hpp"
 
 namespace aimsc::reram {
@@ -45,6 +48,33 @@ TEST(FaultModel, DeterministicAcrossQueryOrder) {
   fm2.misdecisionProb(SlOp::And, 2, 2);
   const double x2 = fm2.misdecisionProb(SlOp::Or, 0, 2);
   EXPECT_DOUBLE_EQ(x1, x2);
+}
+
+TEST(FaultModel, EveryPatternKeepsItsOwnEntry) {
+  // Forward and reverse query orders over every op and 1..4 rows (the
+  // lock-free slot table and the wide-pattern map): an entry aliased to
+  // another key would return whichever value landed first.
+  DeviceParams p;
+  p.sigmaLrs = 0.3;
+  p.sigmaHrs = 1.4;
+  std::vector<std::tuple<SlOp, int, int>> keys;
+  for (const SlOp op : {SlOp::And, SlOp::Nand, SlOp::Or, SlOp::Nor, SlOp::Xor,
+                        SlOp::Xnor, SlOp::Maj3, SlOp::Not}) {
+    for (int rows = 1; rows <= 4; ++rows) {
+      for (int ones = 0; ones <= rows; ++ones) keys.emplace_back(op, ones, rows);
+    }
+  }
+  FaultModel forward(p, 9, 2000);
+  FaultModel reverse(p, 9, 2000);
+  std::vector<double> fwd;
+  for (const auto& [op, ones, rows] : keys) {
+    fwd.push_back(forward.misdecisionProb(op, ones, rows));
+  }
+  for (std::size_t i = keys.size(); i-- > 0;) {
+    const auto& [op, ones, rows] = keys[i];
+    EXPECT_EQ(reverse.misdecisionProb(op, ones, rows), fwd[i])
+        << slOpName(op) << " ones " << ones << " rows " << rows;
+  }
 }
 
 TEST(FaultModel, HrsInstabilityDrivesOrFailures) {

@@ -198,5 +198,49 @@ TEST(Imsng, RobustUnderCimFaults) {
   }
 }
 
+
+TEST(Imsng, FaultyBatchMatchesPerThresholdConversions) {
+  // Under probabilistic sensing the batch path runs the scouting dataflow
+  // per element: twin rigs (same seeds) must agree on every stream, on the
+  // event ledger and on the misdecision RNG state afterwards.
+  reram::DeviceParams p;
+  p.sigmaLrs = 0.12;
+  p.sigmaHrs = 1.1;
+  reram::FaultModel fm(p, 6, 4000);
+  struct FaultyRig {
+    FaultyRig(const reram::DeviceParams& dev, const reram::FaultModel& model)
+        : array(12, 200, dev, 5),
+          scouting(array, reram::ScoutingLogic::Fidelity::Probabilistic,
+                   &model, 7),
+          periphery(array),
+          trng(8),
+          imsng(array, scouting, periphery, trng, Rig::withRows(ImsngConfig{})) {}
+    reram::CrossbarArray array;
+    reram::ScoutingLogic scouting;
+    reram::Periphery periphery;
+    reram::ReramTrng trng;
+    Imsng imsng;
+  };
+  FaultyRig batch(p, fm);
+  FaultyRig single(p, fm);
+  const std::vector<std::uint32_t> thresholds = {0, 1, 37, 128, 128, 200,
+                                                 255, 256, 77, 3};
+  for (int epoch = 0; epoch < 3; ++epoch) {
+    batch.imsng.refreshRandomness();
+    single.imsng.refreshRandomness();
+    std::vector<sc::Bitstream> outs(thresholds.size(), sc::Bitstream(17, true));
+    std::vector<sc::Bitstream*> ptrs;
+    for (auto& s : outs) ptrs.push_back(&s);
+    batch.imsng.encodeBatchInto(thresholds, ptrs);
+    for (std::size_t i = 0; i < thresholds.size(); ++i) {
+      EXPECT_EQ(outs[i], single.imsng.generateThreshold(thresholds[i]))
+          << "epoch " << epoch << " threshold " << thresholds[i];
+    }
+  }
+  EXPECT_EQ(batch.array.events().counts(), single.array.events().counts());
+  EXPECT_EQ(batch.array.row(0), single.array.row(0));  // committed output row
+  EXPECT_TRUE(batch.scouting.rng() == single.scouting.rng());
+}
+
 }  // namespace
 }  // namespace aimsc::core

@@ -2,6 +2,11 @@
 // fault statistics, Monte-Carlo consistency.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <stdexcept>
+#include <unordered_set>
+#include <vector>
+
 #include "reram/fault_model.hpp"
 #include "reram/scouting.hpp"
 
@@ -127,6 +132,107 @@ TEST(Scouting, MonteCarloShowsFaultsForLeakyDevices) {
   for (int r = 0; r < 10; ++r) wrong += sl.op2(SlOp::Xor, ones, zeros).popcount();
   // XOR of (1,0) should be all ones; count misdecisions (zeros).
   EXPECT_GT(10u * 8192u - wrong, 0u);
+}
+
+
+// --- draw-sequence pin: the probabilistic sensing loop ------------------------
+// The reference below is the earlier per-pattern loop (an unordered_set of
+// chosen ranks per pattern class, one selectNthSetBit toggle per rank),
+// verbatim apart from member -> parameter renames.  The engine must consume
+// the identical RNG draws and produce the identical bits.
+
+std::size_t referenceSelectNthSetBit(const sc::Bitstream& s, std::size_t nth) {
+  const auto& words = s.words();
+  std::size_t seen = 0;
+  for (std::size_t w = 0; w < words.size(); ++w) {
+    const auto pc = static_cast<std::size_t>(std::popcount(words[w]));
+    if (seen + pc <= nth) {
+      seen += pc;
+      continue;
+    }
+    std::uint64_t word = words[w];
+    for (std::size_t rank = nth - seen;; --rank) {
+      const int bit = std::countr_zero(word);
+      if (rank == 0) return w * 64 + static_cast<std::size_t>(bit);
+      word &= word - 1;  // clear lowest set bit
+    }
+  }
+  throw std::out_of_range("selectNthSetBit: not enough set bits");
+}
+
+sc::Bitstream referenceProbabilisticSense(
+    SlOp op, const std::vector<const sc::Bitstream*>& operands,
+    const FaultModel& faultModel, std::mt19937_64& eng_) {
+  const std::size_t width = operands.front()->size();
+  const int numRows = static_cast<int>(operands.size());
+  std::vector<sc::Bitstream> masks(operands.size() + 1, sc::Bitstream(width));
+  for (std::size_t col = 0; col < width; ++col) {
+    int ones = 0;
+    for (const auto* o : operands) ones += o->get(col) ? 1 : 0;
+    masks[static_cast<std::size_t>(ones)].set(col, true);
+  }
+  sc::Bitstream out;
+  out.assign(width, false);
+  for (int ones = 0; ones <= numRows; ++ones) {
+    if (slIdeal(op, ones, numRows)) {
+      out |= masks[static_cast<std::size_t>(ones)];
+    }
+  }
+  for (int ones = 0; ones <= numRows; ++ones) {
+    const sc::Bitstream& mask = masks[static_cast<std::size_t>(ones)];
+    const std::size_t cnt = mask.popcount();
+    if (cnt == 0) continue;
+    const double p = faultModel.misdecisionProb(op, ones, numRows);
+    if (p <= 0.0) continue;
+    std::binomial_distribution<std::size_t> binom(cnt, p);
+    const std::size_t flips = binom(eng_);
+    if (flips == 0) continue;
+    std::unordered_set<std::size_t> chosen;
+    std::uniform_int_distribution<std::size_t> pick(0, cnt - 1);
+    while (chosen.size() < flips) chosen.insert(pick(eng_));
+    for (const std::size_t nth : chosen) {
+      const std::size_t col = referenceSelectNthSetBit(mask, nth);
+      out.set(col, !out.get(col));
+    }
+  }
+  return out;
+}
+
+TEST(ScoutingProbabilistic, DrawSequenceMatchesReferenceLoop) {
+  // A leaky corner: per-class flip rates up to tens of percent, so classes
+  // draw many (and repeated) ranks.
+  DeviceParams p;
+  p.sigmaLrs = 0.3;
+  p.sigmaHrs = 1.4;
+  FaultModel fm(p, 31, 4000);
+  const std::vector<std::vector<SlOp>> opsByArity = {
+      {SlOp::Not, SlOp::And, SlOp::Or},
+      {SlOp::And, SlOp::Nand, SlOp::Or, SlOp::Nor, SlOp::Xor, SlOp::Xnor},
+      {SlOp::And, SlOp::Nand, SlOp::Or, SlOp::Nor, SlOp::Maj3}};
+  for (const std::size_t width : {256u, 100u}) {
+    CrossbarArray arr(4, width, p);
+    ScoutingLogic sl(arr, ScoutingLogic::Fidelity::Probabilistic, &fm, 77);
+    std::mt19937_64 referenceEng(77);
+    std::mt19937_64 choose(5);
+    std::vector<sc::Bitstream> operands(3);
+    sc::Bitstream got;
+    for (int i = 0; i < 3000; ++i) {
+      const std::size_t arity = 1 + choose() % 3;
+      const auto& ops = opsByArity[arity - 1];
+      const SlOp op = ops[choose() % ops.size()];
+      std::vector<const sc::Bitstream*> ptrs;
+      for (std::size_t k = 0; k < arity; ++k) {
+        operands[k] = randomStream(width, choose());
+        ptrs.push_back(&operands[k]);
+      }
+      sl.opInto(op, got, ptrs);
+      ASSERT_EQ(got, referenceProbabilisticSense(op, ptrs, fm, referenceEng))
+          << "op " << slOpName(op) << " arity " << arity << " step " << i;
+    }
+    EXPECT_TRUE(sl.rng() == referenceEng);
+    std::mt19937_64 next = sl.rng();
+    EXPECT_EQ(next(), referenceEng());
+  }
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "apps/compositing.hpp"
 #include "apps/filters.hpp"
 #include "apps/runner.hpp"
+#include "core/backend_bincim.hpp"
 #include "core/backend_reram.hpp"
 #include "core/backend_swsc.hpp"
 #include "core/stream_arena.hpp"
@@ -149,6 +150,47 @@ TEST(AllocationRegression, ReramCompositingRowsAreAllocationFree) {
   StreamArena arena;
   img::Image out(24, 8);
   EXPECT_EQ(steadyStateAllocs(b, arena, scene, out), 0u);
+}
+
+TEST(AllocationRegression, FaultyReramCompositingRowsAreAllocationFree) {
+  // Probabilistic sensing on the Table IV device corner, misdecision table
+  // prebuilt: the IMSNG dataflow, the pattern masks and the flip draws all
+  // run on member scratch, and table reads take no lock and allocate nothing.
+  AcceleratorConfig ac;
+  ac.streamLength = 256;
+  ac.device = apps::defaultFaultyDevice();
+  ac.deviceVariability = true;
+  const reram::FaultModel table(ac.device, 0xf417, 4000);
+  for (const auto op : {reram::SlOp::And, reram::SlOp::Nand, reram::SlOp::Or,
+                        reram::SlOp::Nor, reram::SlOp::Xor, reram::SlOp::Xnor,
+                        reram::SlOp::Maj3, reram::SlOp::Not}) {
+    for (int rows = 1; rows <= 3; ++rows) table.worstCase(op, rows);
+  }
+  ac.sharedFaultModel = &table;
+  const apps::CompositingScene scene = apps::makeCompositingScene(24, 8, 17);
+  ReramScBackend b(ac);
+  StreamArena arena;
+  img::Image out(24, 8);
+  EXPECT_EQ(steadyStateAllocs(b, arena, scene, out), 0u);
+}
+
+TEST(AllocationRegression, BinaryCimFilterRowsAreAllocationFree) {
+  // Fault-free MAGIC arithmetic runs in closed form on plain integers.
+  const img::Image src = img::naturalScene(20, 10, 5);
+  BinaryCimBackend b{BinaryCimConfig{}};
+  StreamArena arena;
+  img::Image smoothed = src;
+  img::Image edges(20, 10);
+  apps::smoothKernelRows(src, b, arena, smoothed, 0, 3);  // warm-up
+  arena.reset();
+  apps::edgeKernelRows(src, b, arena, edges, 0, 3);
+  arena.reset();
+  const std::uint64_t before = gAllocCount.load();
+  apps::smoothKernelRows(src, b, arena, smoothed, 3, 8);
+  arena.reset();
+  apps::edgeKernelRows(src, b, arena, edges, 3, 8);
+  EXPECT_EQ(gAllocCount.load() - before, 0u);
+  EXPECT_GT(b.opCount(), 0u);
 }
 
 TEST(AllocationRegression, SwScSmoothingRowsAreAllocationFree) {
