@@ -2,8 +2,10 @@
 // artifact — useful for keeping the simulator itself fast).
 #include <benchmark/benchmark.h>
 
+#include "apps/runner.hpp"
 #include "bincim/aritpim.hpp"
 #include "core/accelerator.hpp"
+#include "reram/fault_model.hpp"
 #include "sc/cordiv.hpp"
 #include "sc/correlation.hpp"
 #include "sc/ops.hpp"
@@ -69,6 +71,21 @@ void BM_ImsngConversionFaulty(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ImsngConversionFaulty);
+
+/// One cold misdecision-table entry on the Table IV corner: an OR over
+/// `rows` all-HRS cells at the deviceOnly sample count, on a fresh model
+/// every iteration.  Items are Monte-Carlo samples.
+void BM_FaultModelColdEntry(benchmark::State& state) {
+  const int rows = static_cast<int>(state.range(0));
+  constexpr std::size_t kSamples = 40000;
+  std::uint64_t seed = 1;
+  for (auto _ : state) {
+    const reram::FaultModel model(apps::defaultFaultyDevice(), seed++, kSamples);
+    benchmark::DoNotOptimize(model.misdecisionProb(reram::SlOp::Or, 0, rows));
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kSamples));
+}
+BENCHMARK(BM_FaultModelColdEntry)->DenseRange(1, 3);
 
 void BM_Cordiv(benchmark::State& state) {
   sc::Mt19937Source src(3);

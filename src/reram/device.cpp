@@ -5,17 +5,21 @@
 
 namespace aimsc::reram {
 
-DeviceModel::DeviceModel(const DeviceParams& params, std::uint64_t seed)
-    : params_(params), eng_(seed) {
-  if (params_.rLrsOhm <= 0 || params_.rHrsOhm <= 0) {
+void validateDeviceParams(const DeviceParams& params) {
+  if (params.rLrsOhm <= 0 || params.rHrsOhm <= 0) {
     throw std::invalid_argument("DeviceModel: resistances must be positive");
   }
-  if (params_.rLrsOhm >= params_.rHrsOhm) {
+  if (params.rLrsOhm >= params.rHrsOhm) {
     throw std::invalid_argument("DeviceModel: LRS must be below HRS");
   }
-  if (params_.sigmaLrs < 0 || params_.sigmaHrs < 0) {
+  if (params.sigmaLrs < 0 || params.sigmaHrs < 0) {
     throw std::invalid_argument("DeviceModel: negative sigma");
   }
+}
+
+DeviceModel::DeviceModel(const DeviceParams& params, std::uint64_t seed)
+    : params_(params), eng_(seed) {
+  validateDeviceParams(params_);
 }
 
 double DeviceModel::sampleResistance(bool lrs) {

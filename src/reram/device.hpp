@@ -41,6 +41,10 @@ struct DeviceParams {
   friend bool operator==(const DeviceParams&, const DeviceParams&) = default;
 };
 
+/// Throws std::invalid_argument unless both resistances are positive, LRS
+/// lies below HRS and neither sigma is negative.
+void validateDeviceParams(const DeviceParams& params);
+
 /// Samples per-read resistance/current realisations.
 class DeviceModel {
  public:

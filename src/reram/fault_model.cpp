@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "reram/fault_kernel.hpp"
+
 namespace aimsc::reram {
 
 FaultModel::FaultModel(const DeviceParams& params, std::uint64_t seed,
@@ -51,17 +53,8 @@ double FaultModel::compute(SlOp op, int onesCount, int numRows) const {
       seed_ ^ (static_cast<std::uint64_t>(op) << 48) ^
       (static_cast<std::uint64_t>(onesCount) << 24) ^
       static_cast<std::uint64_t>(numRows);
-  DeviceModel dev(params_, entrySeed);
-  SenseAmp sa(params_);
-
-  const bool expected = slIdeal(op, onesCount, numRows);
-  std::size_t wrong = 0;
-  for (std::size_t s = 0; s < samples_; ++s) {
-    double current = 0.0;
-    for (int i = 0; i < onesCount; ++i) current += dev.sampleCurrent(true);
-    for (int i = onesCount; i < numRows; ++i) current += dev.sampleCurrent(false);
-    if (sa.decide(op, numRows, current) != expected) ++wrong;
-  }
+  const std::size_t wrong = countMisdecisions(params_, op, onesCount, numRows,
+                                              entrySeed, samples_);
   return static_cast<double>(wrong) / static_cast<double>(samples_);
 }
 

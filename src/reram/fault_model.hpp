@@ -7,7 +7,8 @@
 /// We reproduce the chain: for each (op, input pattern) the summed bitline
 /// current distribution is sampled Monte-Carlo from the log-normal device
 /// model, the sense-amp decision is taken, and the misdecision probability
-/// is the fraction of samples on the wrong side of the reference(s).
+/// is the fraction of samples on the wrong side of the reference(s), as
+/// counted bit-exactly by `countMisdecisions` (reram/fault_kernel.hpp).
 /// Results are cached per pattern; a run with sigma = 0 yields 0 everywhere.
 #pragma once
 

@@ -249,6 +249,7 @@ ServiceStats AcceleratorService::stats() const {
   ServiceStats s = stats_;
   s.faultModelCacheHits = faultCache_.hits();
   s.faultModelCacheMisses = faultCache_.misses();
+  s.faultModelCacheEvictions = faultCache_.evictions();
   s.faultModelCacheSize = faultCache_.size();
   return s;
 }

@@ -37,9 +37,11 @@ struct ServiceStats {
   std::vector<std::uint64_t> batchOccupancy;
 
   /// Fault-model cache counters (service::FaultModelCache): hits are
-  /// requests that skipped the per-mat Monte-Carlo campaign entirely.
+  /// requests that skipped the per-mat Monte-Carlo campaign entirely;
+  /// evictions count models dropped by the cache's LRU capacity bound.
   std::uint64_t faultModelCacheHits = 0;
   std::uint64_t faultModelCacheMisses = 0;
+  std::uint64_t faultModelCacheEvictions = 0;
   std::size_t faultModelCacheSize = 0;
 
   /// Shard-fabric resilience counters (docs/SHARDING.md "Failure semantics

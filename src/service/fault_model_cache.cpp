@@ -18,13 +18,20 @@ std::shared_ptr<const reram::FaultModel> FaultModelCache::get(
   auto it = models_.find(key);
   if (it != models_.end()) {
     ++hits_;
-    return it->second;
+    recency_.splice(recency_.begin(), recency_, it->second);
+    return it->second->second;
   }
   ++misses_;
   // Constructing is cheap — the Monte-Carlo happens lazily per queried
   // pattern inside the model, memoized there for the model's lifetime.
   auto model = std::make_shared<const reram::FaultModel>(device, seed, samples);
-  models_.emplace(key, model);
+  recency_.emplace_front(key, model);
+  models_.emplace(key, recency_.begin());
+  if (recency_.size() > kCapacity) {
+    models_.erase(recency_.back().first);
+    recency_.pop_back();
+    ++evictions_;
+  }
   return model;
 }
 
@@ -41,6 +48,11 @@ std::uint64_t FaultModelCache::hits() const {
 std::uint64_t FaultModelCache::misses() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return misses_;
+}
+
+std::uint64_t FaultModelCache::evictions() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return evictions_;
 }
 
 std::size_t FaultModelCache::size() const {

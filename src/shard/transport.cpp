@@ -439,7 +439,6 @@ std::unique_ptr<ShardChannel> spawnTcpWorker(ChannelDeadlines deadlines) {
     ::close(listenFd);
     throw std::runtime_error("spawnTcpWorker: getsockname failed");
   }
-  const std::uint16_t port = ntohs(addr.sin_port);
 
   const pid_t pid = ::fork();
   if (pid < 0) {

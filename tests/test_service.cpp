@@ -13,6 +13,7 @@
 #include "apps/runner.hpp"
 #include "img/synth.hpp"
 #include "service/accelerator_service.hpp"
+#include "service/fault_model_cache.hpp"
 
 namespace aimsc {
 namespace {
@@ -179,6 +180,36 @@ TEST(Service, FaultModelCacheIsBitPreservingAndWarm) {
   svc.run(2, other.request);
   EXPECT_NE(other.out.pixels(), oracle.output.pixels());
   EXPECT_EQ(svc.stats().faultModelCacheSize, 8u);
+}
+
+TEST(Service, FaultModelCacheIsABoundedLru) {
+  // kCapacity + 1 distinct keys leave the cache full, evicting the least
+  // recently used one; asking for it again is a miss that rebuilds the
+  // identical table.
+  service::FaultModelCache cache;
+  const reram::DeviceParams device = apps::defaultFaultyDevice();
+  constexpr std::size_t cap = service::FaultModelCache::kCapacity;
+  const auto first = cache.get(device, 0, 200);
+  const double firstEntry = first->misdecisionProb(reram::SlOp::Or, 0, 2);
+  for (std::uint64_t seed = 1; seed < cap; ++seed) cache.get(device, seed, 200);
+  EXPECT_EQ(cache.size(), cap);
+  cache.get(device, 0, 200);  // touch: seed 1 is now the oldest
+  EXPECT_EQ(cache.hits(), 1u);
+  cache.get(device, cap, 200);
+  EXPECT_EQ(cache.size(), cap);
+  EXPECT_EQ(cache.evictions(), 1u);
+
+  cache.get(device, 0, 200);
+  EXPECT_EQ(cache.hits(), 2u) << "recently used key survived";
+  const std::uint64_t misses = cache.misses();
+  const auto rebuilt = cache.get(device, 1, 200);
+  EXPECT_EQ(cache.misses(), misses + 1) << "evicted key is a miss";
+  EXPECT_EQ(cache.evictions(), 2u);
+  EXPECT_EQ(cache.size(), cap);
+  const reram::FaultModel fresh(device, 1, 200);
+  EXPECT_EQ(rebuilt->misdecisionProb(reram::SlOp::Xor, 1, 2),
+            fresh.misdecisionProb(reram::SlOp::Xor, 1, 2));
+  EXPECT_EQ(first->misdecisionProb(reram::SlOp::Or, 0, 2), firstEntry);
 }
 
 /// The hammer's mixed workload: apps × designs × tenants × sizes, some

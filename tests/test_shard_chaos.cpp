@@ -180,8 +180,12 @@ TEST(ShardChaos, EveryFaultSiteRecoversByteIdentically) {
               static_cast<std::uint64_t>(2 * (chaosRetry().maxAttempts - 1)))
         << "site " << static_cast<int>(site);
     EXPECT_EQ(fs.deadShards, 0u) << "site " << static_cast<int>(site);
-    if (site == FaultSite::HangBeforeReply) EXPECT_GE(fs.timeouts, 2u);
-    if (site == FaultSite::GarbageReply) EXPECT_GE(fs.garbageReplies, 2u);
+    if (site == FaultSite::HangBeforeReply) {
+      EXPECT_GE(fs.timeouts, 2u);
+    }
+    if (site == FaultSite::GarbageReply) {
+      EXPECT_GE(fs.garbageReplies, 2u);
+    }
   }
 }
 

@@ -1,8 +1,9 @@
 // StreamArena unit tests plus the allocation-count regression suite: a
 // global operator-new counter proves the fused tiled hot path performs ZERO
 // heap allocations per row once the arena and backend scratch are warm, on
-// both the SW-SC and ReRAM substrates; arena-reset determinism pins the
-// tile engine's ledger reproducibility.
+// both the SW-SC and ReRAM substrates, and that a cold fault-table build
+// allocates nothing; arena-reset determinism pins the tile engine's ledger
+// reproducibility.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,6 +20,7 @@
 #include "core/stream_arena.hpp"
 #include "core/tile_executor.hpp"
 #include "img/synth.hpp"
+#include "reram/fault_model.hpp"
 
 // --- global allocation counter ----------------------------------------------
 // Replacing operator new is the strongest available hook: it counts every
@@ -206,6 +208,19 @@ TEST(AllocationRegression, SwScSmoothingRowsAreAllocationFree) {
   arena.reset();
   const std::uint64_t before = gAllocCount.load();
   apps::smoothKernelRows(src, b, arena, out, 3, 8);
+  EXPECT_EQ(gAllocCount.load() - before, 0u);
+}
+
+TEST(AllocationRegression, ColdFaultTableBuildsAreAllocationFree) {
+  // Building every 1..3-row misdecision entry cold: the Monte-Carlo
+  // kernel's scratch is a fixed stack block and the slot table is inline.
+  const reram::FaultModel table(apps::defaultFaultyDevice(), 0xc01d, 3000);
+  const std::uint64_t before = gAllocCount.load();
+  for (const auto op : {reram::SlOp::And, reram::SlOp::Nand, reram::SlOp::Or,
+                        reram::SlOp::Nor, reram::SlOp::Xor, reram::SlOp::Xnor,
+                        reram::SlOp::Maj3, reram::SlOp::Not}) {
+    for (int rows = 1; rows <= 3; ++rows) table.worstCase(op, rows);
+  }
   EXPECT_EQ(gAllocCount.load() - before, 0u);
 }
 
