@@ -291,7 +291,8 @@ SwScResult measuredSwScSweep(std::size_t size,
       core::makeBackendLanes(core::DesignKind::SwScSimd, fleetCfg, par.lanes),
       par);
   const auto t0 = std::chrono::steady_clock::now();
-  apps::compositeKernelTiled(scene, exec);
+  apps::runStages(apps::AppKind::Compositing,
+                  {scene.background, scene.foreground, scene.alpha}, exec);
   r.simdTiledPps = kPixels / secondsSince(t0);
 
   std::printf(
@@ -357,7 +358,9 @@ void measuredSweep(std::size_t size) {
     par.threads = threads;
     core::TileExecutor exec(apps::tileConfigFor(cfg, par));
     const auto t1 = std::chrono::steady_clock::now();
-    const img::Image tiled = apps::compositeKernelTiled(scene, exec);
+    const img::Image tiled = apps::runStages(
+        apps::AppKind::Compositing,
+        {scene.background, scene.foreground, scene.alpha}, exec);
     const double sec = secondsSince(t1);
     const double pps = static_cast<double>(kPixels) / sec;
     sweep.push_back({threads, pps, pps / serialPps});

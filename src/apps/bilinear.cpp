@@ -65,30 +65,12 @@ void upscaleKernelRows(img::ImageView src, std::size_t factor,
   }
 }
 
-void upscaleKernelRows(img::ImageView src, std::size_t factor,
-                       core::ScBackend& b, img::ImageSpan out,
-                       std::size_t rowBegin, std::size_t rowEnd) {
-  core::StreamArena arena;
-  upscaleKernelRows(src, factor, b, arena, out, rowBegin, rowEnd);
-}
-
 img::Image upscaleKernel(img::ImageView src, std::size_t factor,
                          core::ScBackend& b) {
   if (factor < 1) throw std::invalid_argument("upscale: bad factor");
   img::Image out(src.width() * factor, src.height() * factor);
-  upscaleKernelRows(src, factor, b, out, 0, out.height());
-  return out;
-}
-
-img::Image upscaleKernelTiled(img::ImageView src, std::size_t factor,
-                              core::TileExecutor& exec) {
-  if (factor < 1) throw std::invalid_argument("upscale: bad factor");
-  img::Image out(src.width() * factor, src.height() * factor);
-  exec.forEachTile(
-      out.height(), [&](core::ScBackend& lane, core::StreamArena& arena,
-                        std::size_t r0, std::size_t r1) {
-        upscaleKernelRows(src, factor, lane, arena, out, r0, r1);
-      });
+  core::StreamArena arena;
+  upscaleKernelRows(src, factor, b, arena, out, 0, out.height());
   return out;
 }
 

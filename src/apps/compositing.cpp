@@ -57,27 +57,10 @@ void compositeKernelRows(const CompositingFrames& scene, core::ScBackend& b,
   }
 }
 
-void compositeKernelRows(const CompositingFrames& scene, core::ScBackend& b,
-                         img::ImageSpan out, std::size_t rowBegin,
-                         std::size_t rowEnd) {
-  core::StreamArena arena;
-  compositeKernelRows(scene, b, arena, out, rowBegin, rowEnd);
-}
-
 img::Image compositeKernel(const CompositingFrames& scene, core::ScBackend& b) {
   img::Image out(scene.background.width(), scene.background.height());
-  compositeKernelRows(scene, b, out, 0, out.height());
-  return out;
-}
-
-img::Image compositeKernelTiled(const CompositingFrames& scene,
-                                core::TileExecutor& exec) {
-  img::Image out(scene.background.width(), scene.background.height());
-  exec.forEachTile(
-      out.height(), [&](core::ScBackend& lane, core::StreamArena& arena,
-                        std::size_t r0, std::size_t r1) {
-        compositeKernelRows(scene, lane, arena, out, r0, r1);
-      });
+  core::StreamArena arena;
+  compositeKernelRows(scene, b, arena, out, 0, out.height());
   return out;
 }
 

@@ -7,13 +7,14 @@
 ///
 /// ONE backend-generic kernel (`compositeKernel`) serves every execution
 /// substrate through the `ScBackend` interface (per-design entry points:
-/// `makeBackend(design, ...)` + `compositeKernel`, or `apps::runApp`).
+/// `makeBackend(design, ...)` + `compositeKernel`, or `apps::runApp`; lane
+/// fleets run it as the Compositing row of the app table, app_spec.hpp).
 #pragma once
 
 #include <cstdint>
 
 #include "core/backend.hpp"
-#include "core/tile_executor.hpp"
+#include "core/stream_arena.hpp"
 #include "img/image.hpp"
 
 namespace aimsc::apps {
@@ -67,11 +68,6 @@ void compositeKernelRows(const CompositingFrames& scene, core::ScBackend& b,
 
 /// Whole-image form on a single backend.
 img::Image compositeKernel(const CompositingFrames& scene, core::ScBackend& b);
-
-/// Tile-parallel form: the SAME kernel sharded over the executor's lanes;
-/// bit-identical for any thread count.
-img::Image compositeKernelTiled(const CompositingFrames& scene,
-                                core::TileExecutor& exec);
 
 // --- reference (quality oracle) -------------------------------------------
 

@@ -64,27 +64,10 @@ void smoothKernelRows(img::ImageView src, core::ScBackend& b,
   }
 }
 
-void smoothKernelRows(img::ImageView src, core::ScBackend& b,
-                      img::ImageSpan out, std::size_t rowBegin,
-                      std::size_t rowEnd) {
-  core::StreamArena arena;
-  smoothKernelRows(src, b, arena, out, rowBegin, rowEnd);
-}
-
 img::Image smoothKernel(img::ImageView src, core::ScBackend& b) {
   img::Image out = src.toImage();  // borders copy through
-  smoothKernelRows(src, b, out, 0, src.height());
-  return out;
-}
-
-img::Image smoothKernelTiled(img::ImageView src, core::TileExecutor& exec) {
-  img::Image out = src.toImage();
-  if (src.width() < 3 || src.height() < 3) return out;
-  exec.forEachTile(
-      src.height(), [&](core::ScBackend& lane, core::StreamArena& arena,
-                        std::size_t r0, std::size_t r1) {
-        smoothKernelRows(src, lane, arena, out, r0, r1);
-      });
+  core::StreamArena arena;
+  smoothKernelRows(src, b, arena, out, 0, src.height());
   return out;
 }
 
@@ -122,36 +105,24 @@ void edgeKernelRows(img::ImageView src, core::ScBackend& b,
   }
 }
 
-void edgeKernelRows(img::ImageView src, core::ScBackend& b, img::ImageSpan out,
-                    std::size_t rowBegin, std::size_t rowEnd) {
-  core::StreamArena arena;
-  edgeKernelRows(src, b, arena, out, rowBegin, rowEnd);
-}
-
 img::Image edgeKernel(img::ImageView src, core::ScBackend& b) {
   img::Image out(src.width(), src.height(), 0);
-  edgeKernelRows(src, b, out, 0, src.height());
+  core::StreamArena arena;
+  edgeKernelRows(src, b, arena, out, 0, src.height());
   return out;
 }
 
-img::Image edgeKernelTiled(img::ImageView src, core::TileExecutor& exec) {
-  img::Image out(src.width(), src.height(), 0);
-  if (src.width() < 2 || src.height() < 2) return out;
-  exec.forEachTile(
-      src.height(), [&](core::ScBackend& lane, core::StreamArena& arena,
-                        std::size_t r0, std::size_t r1) {
-        edgeKernelRows(src, lane, arena, out, r0, r1);
-      });
-  return out;
-}
-
-void gammaKernelRows(img::ImageView src, double gamma, core::ScBackend& b,
-                     core::StreamArena& arena, img::ImageSpan out,
-                     std::size_t rowBegin, std::size_t rowEnd, int degree) {
-  const std::vector<double> coeffValues = sc::bernsteinCoefficientsOf(
+std::vector<double> gammaCoefficients(double gamma, int degree) {
+  return sc::bernsteinCoefficientsOf(
       [gamma](double t) { return std::pow(t, gamma); }, degree);
+}
+
+void gammaKernelRows(img::ImageView src, std::span<const double> coeffValues,
+                     core::ScBackend& b, core::StreamArena& arena,
+                     img::ImageSpan out, std::size_t rowBegin,
+                     std::size_t rowEnd) {
   const std::size_t w = src.width();
-  auto& xCopies = arena.batch(static_cast<std::size_t>(degree));
+  auto& xCopies = arena.batch(coeffValues.size() - 1);
   auto& coeffs = arena.batch(coeffValues.size());
   core::ScValue& selected = arena.value();
   const std::size_t yEnd = std::min(rowEnd, src.height());
@@ -172,28 +143,12 @@ void gammaKernelRows(img::ImageView src, double gamma, core::ScBackend& b,
   }
 }
 
-void gammaKernelRows(img::ImageView src, double gamma, core::ScBackend& b,
-                     img::ImageSpan out, std::size_t rowBegin, std::size_t rowEnd,
-                     int degree) {
-  core::StreamArena arena;
-  gammaKernelRows(src, gamma, b, arena, out, rowBegin, rowEnd, degree);
-}
-
 img::Image gammaKernel(img::ImageView src, double gamma, core::ScBackend& b,
                        int degree) {
   img::Image out(src.width(), src.height());
-  gammaKernelRows(src, gamma, b, out, 0, src.height(), degree);
-  return out;
-}
-
-img::Image gammaKernelTiled(img::ImageView src, double gamma,
-                            core::TileExecutor& exec, int degree) {
-  img::Image out(src.width(), src.height());
-  exec.forEachTile(
-      src.height(), [&](core::ScBackend& lane, core::StreamArena& arena,
-                        std::size_t r0, std::size_t r1) {
-        gammaKernelRows(src, gamma, lane, arena, out, r0, r1, degree);
-      });
+  core::StreamArena arena;
+  gammaKernelRows(src, gammaCoefficients(gamma, degree), b, arena, out, 0,
+                  src.height());
   return out;
 }
 

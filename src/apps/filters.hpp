@@ -15,8 +15,11 @@
 ///    ReRAM-only path, now running on every substrate.
 #pragma once
 
+#include <span>
+#include <vector>
+
 #include "core/backend.hpp"
-#include "core/tile_executor.hpp"
+#include "core/stream_arena.hpp"
 #include "img/image.hpp"
 
 namespace aimsc::apps {
@@ -34,16 +37,8 @@ void smoothKernelRows(img::ImageView src, core::ScBackend& b,
                       core::StreamArena& arena, img::ImageSpan out,
                       std::size_t rowBegin, std::size_t rowEnd);
 
-/// Convenience overload with a call-local arena.
-void smoothKernelRows(img::ImageView src, core::ScBackend& b,
-                      img::ImageSpan out, std::size_t rowBegin,
-                      std::size_t rowEnd);
-
 /// Whole-image smoothing (border pixels copy through).
 img::Image smoothKernel(img::ImageView src, core::ScBackend& b);
-
-/// Tile-parallel smoothing: the SAME kernel over the executor's lanes.
-img::Image smoothKernelTiled(img::ImageView src, core::TileExecutor& exec);
 
 /// Row-range Roberts-cross edge magnitude
 /// (|I(x,y)-I(x+1,y+1)| + |I(x+1,y)-I(x,y+1)|)/2: per row one epoch for the
@@ -53,38 +48,26 @@ void edgeKernelRows(img::ImageView src, core::ScBackend& b,
                     core::StreamArena& arena, img::ImageSpan out,
                     std::size_t rowBegin, std::size_t rowEnd);
 
-/// Convenience overload with a call-local arena.
-void edgeKernelRows(img::ImageView src, core::ScBackend& b, img::ImageSpan out,
-                    std::size_t rowBegin, std::size_t rowEnd);
-
 /// Whole-image edge magnitude (last row/column are zero).
 img::Image edgeKernel(img::ImageView src, core::ScBackend& b);
 
-/// Tile-parallel edge detection: the SAME kernel over the executor's lanes.
-img::Image edgeKernelTiled(img::ImageView src, core::TileExecutor& exec);
+/// Bernstein coefficients b_k = (k/n)^gamma, k = 0..degree, of the gamma
+/// curve (computed once per kernel, not per row).
+std::vector<double> gammaCoefficients(double gamma, int degree = 4);
 
 /// Row-range gamma correction v' = v^gamma via Bernstein synthesis
-/// (sc/bernstein.hpp): per pixel, `degree` independent encodings of the
-/// pixel (`encodeCopies`) select among degree+1 coefficient streams
-/// b_k = (k/n)^gamma through the backend's `bernsteinSelect` network.
+/// (sc/bernstein.hpp): per pixel, `degree = coeffs.size() - 1` independent
+/// encodings of the pixel (`encodeCopies`) select among the coefficient
+/// streams through the backend's `bernsteinSelect` network.
 /// FUSED (see smoothKernelRows).
-void gammaKernelRows(img::ImageView src, double gamma, core::ScBackend& b,
-                     core::StreamArena& arena, img::ImageSpan out,
-                     std::size_t rowBegin, std::size_t rowEnd, int degree = 4);
-
-/// Convenience overload with a call-local arena.
-void gammaKernelRows(img::ImageView src, double gamma, core::ScBackend& b,
-                     img::ImageSpan out, std::size_t rowBegin, std::size_t rowEnd,
-                     int degree = 4);
+void gammaKernelRows(img::ImageView src, std::span<const double> coeffs,
+                     core::ScBackend& b, core::StreamArena& arena,
+                     img::ImageSpan out, std::size_t rowBegin,
+                     std::size_t rowEnd);
 
 /// Whole-image gamma correction on any backend.
 img::Image gammaKernel(img::ImageView src, double gamma, core::ScBackend& b,
                        int degree = 4);
-
-/// Tile-parallel gamma correction: the SAME kernel over the executor's
-/// lanes.
-img::Image gammaKernelTiled(img::ImageView src, double gamma,
-                            core::TileExecutor& exec, int degree = 4);
 
 // --- references (quality oracles) -----------------------------------------
 

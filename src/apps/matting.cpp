@@ -51,27 +51,10 @@ void mattingKernelRows(const MattingFrames& scene, core::ScBackend& b,
   }
 }
 
-void mattingKernelRows(const MattingFrames& scene, core::ScBackend& b,
-                       img::ImageSpan out, std::size_t rowBegin,
-                       std::size_t rowEnd) {
-  core::StreamArena arena;
-  mattingKernelRows(scene, b, arena, out, rowBegin, rowEnd);
-}
-
 img::Image mattingKernel(const MattingFrames& scene, core::ScBackend& b) {
   img::Image out(scene.composite.width(), scene.composite.height());
-  mattingKernelRows(scene, b, out, 0, out.height());
-  return out;
-}
-
-img::Image mattingKernelTiled(const MattingFrames& scene,
-                              core::TileExecutor& exec) {
-  img::Image out(scene.composite.width(), scene.composite.height());
-  exec.forEachTile(
-      out.height(), [&](core::ScBackend& lane, core::StreamArena& arena,
-                        std::size_t r0, std::size_t r1) {
-        mattingKernelRows(scene, lane, arena, out, r0, r1);
-      });
+  core::StreamArena arena;
+  mattingKernelRows(scene, b, arena, out, 0, out.height());
   return out;
 }
 
@@ -80,7 +63,7 @@ img::Image mattingReference(const MattingScene& scene) {
   return mattingKernel(scene, b);
 }
 
-img::Image blendWithAlpha(const MattingScene& scene, const img::Image& alpha) {
+img::Image blendWithAlpha(const MattingFrames& scene, const img::Image& alpha) {
   img::Image out(scene.composite.width(), scene.composite.height());
   for (std::size_t i = 0; i < out.size(); ++i) {
     const double f = scene.foreground[i] / 255.0;

@@ -60,17 +60,8 @@ void mattingKernelRows(const MattingFrames& scene, core::ScBackend& b,
                        core::StreamArena& arena, img::ImageSpan out,
                        std::size_t rowBegin, std::size_t rowEnd);
 
-/// Convenience overload with a call-local arena.
-void mattingKernelRows(const MattingFrames& scene, core::ScBackend& b,
-                       img::ImageSpan out, std::size_t rowBegin,
-                       std::size_t rowEnd);
-
 /// Whole-image form on a single backend.
 img::Image mattingKernel(const MattingFrames& scene, core::ScBackend& b);
-
-/// Tile-parallel form: the SAME kernel sharded over the executor's lanes.
-img::Image mattingKernelTiled(const MattingFrames& scene,
-                              core::TileExecutor& exec);
 
 // --- reference (quality oracle) -------------------------------------------
 
@@ -79,6 +70,6 @@ img::Image mattingKernelTiled(const MattingFrames& scene,
 img::Image mattingReference(const MattingScene& scene);
 
 /// Re-blend used by the Table IV evaluation.
-img::Image blendWithAlpha(const MattingScene& scene, const img::Image& alpha);
+img::Image blendWithAlpha(const MattingFrames& scene, const img::Image& alpha);
 
 }  // namespace aimsc::apps

@@ -62,23 +62,11 @@ const auto kMaxFold = [](core::ScBackend& b, core::ScValue& dst,
   b.maximumInto(dst, a, v);
 };
 
-template <typename RowsFn>
-img::Image wholeImage(img::ImageView src, RowsFn&& rows) {
+template <typename FoldOp>
+img::Image wholeImage(img::ImageView src, core::ScBackend& b, FoldOp&& fold) {
   img::Image out = src.toImage();  // borders copy through
-  rows(out, std::size_t{0}, src.height());
-  return out;
-}
-
-template <typename RowsFn>
-img::Image tiled(img::ImageView src, core::TileExecutor& exec,
-                 RowsFn&& rows) {
-  img::Image out = src.toImage();
-  if (src.width() < 3 || src.height() < 3) return out;
-  exec.forEachTile(src.height(),
-                   [&](core::ScBackend& lane, core::StreamArena& arena,
-                       std::size_t r0, std::size_t r1) {
-                     rows(lane, arena, out, r0, r1);
-                   });
+  core::StreamArena arena;
+  morphKernelRows(src, b, arena, out, 0, src.height(), fold);
   return out;
 }
 
@@ -108,36 +96,18 @@ void erodeKernelRows(img::ImageView src, core::ScBackend& b,
   morphKernelRows(src, b, arena, out, rowBegin, rowEnd, kMinFold);
 }
 
-void erodeKernelRows(img::ImageView src, core::ScBackend& b,
-                     img::ImageSpan out, std::size_t rowBegin,
-                     std::size_t rowEnd) {
-  core::StreamArena arena;
-  erodeKernelRows(src, b, arena, out, rowBegin, rowEnd);
-}
-
 void dilateKernelRows(img::ImageView src, core::ScBackend& b,
                       core::StreamArena& arena, img::ImageSpan out,
                       std::size_t rowBegin, std::size_t rowEnd) {
   morphKernelRows(src, b, arena, out, rowBegin, rowEnd, kMaxFold);
 }
 
-void dilateKernelRows(img::ImageView src, core::ScBackend& b,
-                      img::ImageSpan out, std::size_t rowBegin,
-                      std::size_t rowEnd) {
-  core::StreamArena arena;
-  dilateKernelRows(src, b, arena, out, rowBegin, rowEnd);
-}
-
 img::Image erodeKernel(img::ImageView src, core::ScBackend& b) {
-  return wholeImage(src, [&](img::ImageSpan out, std::size_t r0, std::size_t r1) {
-    erodeKernelRows(src, b, out, r0, r1);
-  });
+  return wholeImage(src, b, kMinFold);
 }
 
 img::Image dilateKernel(img::ImageView src, core::ScBackend& b) {
-  return wholeImage(src, [&](img::ImageSpan out, std::size_t r0, std::size_t r1) {
-    dilateKernelRows(src, b, out, r0, r1);
-  });
+  return wholeImage(src, b, kMaxFold);
 }
 
 img::Image openKernel(img::ImageView src, core::ScBackend& b) {
@@ -146,46 +116,6 @@ img::Image openKernel(img::ImageView src, core::ScBackend& b) {
 
 img::Image closeKernel(img::ImageView src, core::ScBackend& b) {
   return erodeKernel(dilateKernel(src, b), b);
-}
-
-img::Image erodeKernelTiled(img::ImageView src, core::TileExecutor& exec) {
-  return tiled(src, exec,
-               [&](core::ScBackend& lane, core::StreamArena& arena,
-                   img::ImageSpan out, std::size_t r0, std::size_t r1) {
-                 erodeKernelRows(src, lane, arena, out, r0, r1);
-               });
-}
-
-img::Image dilateKernelTiled(img::ImageView src, core::TileExecutor& exec) {
-  return tiled(src, exec,
-               [&](core::ScBackend& lane, core::StreamArena& arena,
-                   img::ImageSpan out, std::size_t r0, std::size_t r1) {
-                 dilateKernelRows(src, lane, arena, out, r0, r1);
-               });
-}
-
-img::Image openKernelTiled(img::ImageView src, core::TileExecutor& exec) {
-  const img::Image eroded = erodeKernelTiled(src, exec);
-  img::Image out = eroded;
-  if (src.width() < 3 || src.height() < 3) return out;
-  exec.forEachTile(src.height(),
-                   [&](core::ScBackend& lane, core::StreamArena& arena,
-                       std::size_t r0, std::size_t r1) {
-                     dilateKernelRows(eroded, lane, arena, out, r0, r1);
-                   });
-  return out;
-}
-
-img::Image closeKernelTiled(img::ImageView src, core::TileExecutor& exec) {
-  const img::Image dilated = dilateKernelTiled(src, exec);
-  img::Image out = dilated;
-  if (src.width() < 3 || src.height() < 3) return out;
-  exec.forEachTile(src.height(),
-                   [&](core::ScBackend& lane, core::StreamArena& arena,
-                       std::size_t r0, std::size_t r1) {
-                     erodeKernelRows(dilated, lane, arena, out, r0, r1);
-                   });
-  return out;
 }
 
 img::Image erodeReference(img::ImageView src) {

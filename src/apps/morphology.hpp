@@ -11,13 +11,14 @@
 /// correlation control, same precondition as XOR subtraction).
 ///
 /// Opening (erode ∘ dilate) and closing (dilate ∘ erode) compose two full
-/// passes; the tiled forms run each pass through the executor's lane-pinned
-/// schedule, so the composition inherits the thread-count-invariant
-/// determinism contract.
+/// passes.  On a lane fleet the opening is the Morphology row of the app
+/// table (app_spec.hpp): two stages with a full barrier between, each
+/// through the executor's lane-pinned schedule, so the composition inherits
+/// the thread-count-invariant determinism contract.
 #pragma once
 
 #include "core/backend.hpp"
-#include "core/tile_executor.hpp"
+#include "core/stream_arena.hpp"
 #include "img/image.hpp"
 
 namespace aimsc::apps {
@@ -35,20 +36,10 @@ void erodeKernelRows(img::ImageView src, core::ScBackend& b,
                      core::StreamArena& arena, img::ImageSpan out,
                      std::size_t rowBegin, std::size_t rowEnd);
 
-/// Convenience overload with a call-local arena.
-void erodeKernelRows(img::ImageView src, core::ScBackend& b,
-                     img::ImageSpan out, std::size_t rowBegin,
-                     std::size_t rowEnd);
-
 /// Row-range 3×3 dilation (window maximum): the mirrored `maximum` chain.
 void dilateKernelRows(img::ImageView src, core::ScBackend& b,
                       core::StreamArena& arena, img::ImageSpan out,
                       std::size_t rowBegin, std::size_t rowEnd);
-
-/// Convenience overload with a call-local arena.
-void dilateKernelRows(img::ImageView src, core::ScBackend& b,
-                      img::ImageSpan out, std::size_t rowBegin,
-                      std::size_t rowEnd);
 
 /// Whole-image erosion / dilation (border pixels copy through).
 img::Image erodeKernel(img::ImageView src, core::ScBackend& b);
@@ -58,13 +49,6 @@ img::Image dilateKernel(img::ImageView src, core::ScBackend& b);
 /// (erode(dilate(src))) on a single backend.
 img::Image openKernel(img::ImageView src, core::ScBackend& b);
 img::Image closeKernel(img::ImageView src, core::ScBackend& b);
-
-/// Tile-parallel forms: the SAME kernels over the executor's lanes (the
-/// compositions run two lane-pinned passes with a full barrier between).
-img::Image erodeKernelTiled(img::ImageView src, core::TileExecutor& exec);
-img::Image dilateKernelTiled(img::ImageView src, core::TileExecutor& exec);
-img::Image openKernelTiled(img::ImageView src, core::TileExecutor& exec);
-img::Image closeKernelTiled(img::ImageView src, core::TileExecutor& exec);
 
 // --- integer references (quality oracles) ---------------------------------
 

@@ -1,54 +1,10 @@
 #include "apps/runner.hpp"
 
 #include <algorithm>
-#include <stdexcept>
-#include <string>
 #include <utility>
-
-#include "img/metrics.hpp"
-#include "img/synth.hpp"
+#include <vector>
 
 namespace aimsc::apps {
-
-const char* appName(AppKind app) {
-  switch (app) {
-    case AppKind::Compositing: return "Image Compositing";
-    case AppKind::Bilinear: return "Bilinear Interpolation";
-    case AppKind::Matting: return "Image Matting";
-    case AppKind::Filters: return "Image Filters";
-    case AppKind::Gamma: return "Gamma Correction";
-    case AppKind::Morphology: return "Morphology";
-  }
-  return "?";
-}
-
-AppKind parseAppKind(std::string_view name) {
-  // Same spelling rules as parseDesignKind (shared fold).
-  const auto& normalize = core::normalizeSelector;
-  // Short CLI aliases beside the display names ("matting", "gamma", ...).
-  struct Alias {
-    AppKind app;
-    const char* alias;
-  };
-  constexpr Alias kAliases[] = {
-      {AppKind::Compositing, "compositing"}, {AppKind::Bilinear, "bilinear"},
-      {AppKind::Matting, "matting"},         {AppKind::Filters, "filters"},
-      {AppKind::Gamma, "gamma"},             {AppKind::Morphology, "morphology"},
-  };
-  const std::string wanted = normalize(name);
-  std::string valid;
-  for (const Alias& a : kAliases) {
-    if (wanted == normalize(appName(a.app)) || wanted == a.alias) return a.app;
-    if (!valid.empty()) valid += ", ";
-    valid += a.alias;
-  }
-  throw std::invalid_argument("parseAppKind: unknown app '" +
-                              std::string(name) + "' (valid: " + valid + ")");
-}
-
-Quality compareQuality(const img::Image& test, const img::Image& ref) {
-  return Quality{img::ssim(test, ref) * 100.0, img::psnrDb(test, ref)};
-}
 
 reram::DeviceParams defaultFaultyDevice() {
   reram::DeviceParams p;
@@ -62,126 +18,18 @@ namespace {
 /// Display gamma used by the Table IV gamma row (degree-4 Bernstein).
 constexpr double kGammaValue = 2.2;
 
-core::AcceleratorConfig accelConfigFor(const RunConfig& cfg) {
-  const reliability::FaultPlan& plan = cfg.faults;
-  core::AcceleratorConfig ac;
-  ac.streamLength = cfg.streamLength;
-  ac.deviceVariability = plan.deviceVariability;
-  if (plan.deviceVariability) ac.device = plan.device;
-  ac.faultModelSamples = plan.faultModelSamples;
-  ac.wearWindowRows = cfg.wearWindowRows;
-  ac.seed = cfg.seed;
-  return ac;
-}
-
-img::Image srcImageFor(const RunConfig& cfg) {
-  return img::naturalScene(cfg.width, cfg.height, cfg.seed ^ 0xb111);
-}
-
-/// Runs the app's backend-generic kernel serially (\p backend) or tiled
-/// (\p exec; exactly one of the two is non-null) and returns the RAW output
-/// image (the alpha matte for matting).  Scenes derive from cfg.seed, so
-/// replicas that re-seed only their backends process the same inputs.
-img::Image runKernelOn(AppKind app, const RunConfig& cfg,
-                       core::ScBackend* backend, core::TileExecutor* exec) {
-  switch (app) {
-    case AppKind::Compositing: {
-      const CompositingScene scene =
-          makeCompositingScene(cfg.width, cfg.height, cfg.seed);
-      return exec != nullptr ? compositeKernelTiled(scene, *exec)
-                             : compositeKernel(scene, *backend);
-    }
-    case AppKind::Bilinear: {
-      const img::Image src = srcImageFor(cfg);
-      return exec != nullptr ? upscaleKernelTiled(src, cfg.upscaleFactor, *exec)
-                             : upscaleKernel(src, cfg.upscaleFactor, *backend);
-    }
-    case AppKind::Matting: {
-      const MattingScene scene =
-          makeMattingScene(cfg.width, cfg.height, cfg.seed);
-      return exec != nullptr ? mattingKernelTiled(scene, *exec)
-                             : mattingKernel(scene, *backend);
-    }
-    case AppKind::Filters: {
-      const img::Image src = srcImageFor(cfg);
-      return exec != nullptr ? smoothKernelTiled(src, *exec)
-                             : smoothKernel(src, *backend);
-    }
-    case AppKind::Gamma: {
-      const img::Image src = srcImageFor(cfg);
-      return exec != nullptr ? gammaKernelTiled(src, kGammaValue, *exec)
-                             : gammaKernel(src, kGammaValue, *backend);
-    }
-    case AppKind::Morphology: {
-      const img::Image src = srcImageFor(cfg);
-      return exec != nullptr ? openKernelTiled(src, *exec)
-                             : openKernel(src, *backend);
-    }
-  }
-  throw std::invalid_argument("runApp: bad app");
-}
-
-/// Scores a raw kernel output per the Table IV protocol (matting: blend the
-/// estimated alpha and compare composites).  References rebuild from
-/// cfg.seed, so scoring a voted image uses the same ground truth as every
-/// replica.
-Quality scoreOutput(AppKind app, const RunConfig& cfg, const img::Image& out) {
-  switch (app) {
-    case AppKind::Compositing: {
-      const CompositingScene scene =
-          makeCompositingScene(cfg.width, cfg.height, cfg.seed);
-      return compareQuality(out, compositeReference(scene));
-    }
-    case AppKind::Bilinear:
-      return compareQuality(
-          out, upscaleReference(srcImageFor(cfg), cfg.upscaleFactor));
-    case AppKind::Matting: {
-      const MattingScene scene =
-          makeMattingScene(cfg.width, cfg.height, cfg.seed);
-      return compareQuality(blendWithAlpha(scene, out), scene.composite);
-    }
-    case AppKind::Filters:
-      return compareQuality(out, smoothReference(srcImageFor(cfg)));
-    case AppKind::Gamma:
-      return compareQuality(out, gammaReference(srcImageFor(cfg), kGammaValue));
-    case AppKind::Morphology:
-      return compareQuality(out, openReference(srcImageFor(cfg)));
-  }
-  throw std::invalid_argument("runApp: bad app");
-}
-
-/// One replica: builds the substrate with \p seed (scenes stay on cfg.seed)
-/// and accumulates its cost ledgers into \p events / \p ops.
-img::Image runReplica(AppKind app, DesignKind design, const RunConfig& cfg,
-                      const ParallelConfig& par, std::uint64_t seed,
-                      reram::EventCounts& events, std::uint64_t& ops) {
-  if (design == DesignKind::ReramSc) {
-    core::TileExecutorConfig tc = tileConfigFor(cfg, par);
-    tc.mat.seed = seed;
-    core::TileExecutor exec(tc);
-    img::Image out = runKernelOn(app, cfg, nullptr, &exec);
-    events += exec.totalEvents();
-    for (std::size_t i = 0; i < exec.lanes(); ++i) {
-      ops += exec.backend(i).opCount();
-    }
-    return out;
-  }
+/// The serial form of a non-ReRAM design: one backend, one tile spanning
+/// all \p rows, so each stage makes the whole-image kernel's single call.
+std::unique_ptr<core::TileExecutor> serialFleet(DesignKind design,
+                                                const RunConfig& cfg,
+                                                std::uint64_t seed,
+                                                std::size_t rows) {
   core::BackendFactoryConfig bc = backendConfigFor(cfg);
   bc.seed = seed;
-  if (par.threads > 0) {
-    core::TileExecutor exec(core::makeBackendLanes(design, bc, par.lanes), par);
-    img::Image out = runKernelOn(app, cfg, nullptr, &exec);
-    events += exec.totalEvents();
-    for (std::size_t i = 0; i < exec.lanes(); ++i) {
-      ops += exec.backend(i).opCount();
-    }
-    return out;
-  }
-  const auto backend = core::makeBackend(design, bc);
-  img::Image out = runKernelOn(app, cfg, backend.get(), nullptr);
-  events += backend->events();
-  ops += backend->opCount();
-  return out;
+  std::vector<std::unique_ptr<core::ScBackend>> lane;
+  lane.push_back(core::makeBackend(design, bc));
+  const core::ParallelConfig oneTile{1, 0, std::max<std::size_t>(rows, 1)};
+  return std::make_unique<core::TileExecutor>(std::move(lane), oneTile);
 }
 
 }  // namespace
@@ -197,30 +45,61 @@ core::BackendFactoryConfig backendConfigFor(const RunConfig& cfg) {
 
 core::TileExecutorConfig tileConfigFor(const RunConfig& cfg,
                                        const ParallelConfig& par) {
+  const reliability::FaultPlan& plan = cfg.faults;
   core::TileExecutorConfig tc;
   static_cast<core::ParallelConfig&>(tc) = par;
-  tc.mat = accelConfigFor(cfg);
-  tc.faults = cfg.faults;
+  tc.mat.streamLength = cfg.streamLength;
+  tc.mat.deviceVariability = plan.deviceVariability;
+  if (plan.deviceVariability) tc.mat.device = plan.device;
+  tc.mat.faultModelSamples = plan.faultModelSamples;
+  tc.mat.wearWindowRows = cfg.wearWindowRows;
+  tc.mat.seed = cfg.seed;
+  tc.faults = plan;
   return tc;
+}
+
+std::unique_ptr<core::TileExecutor> makeFleet(
+    DesignKind design, const RunConfig& cfg, const ParallelConfig& par,
+    std::uint64_t seed, core::FaultModelProvider faultModels) {
+  if (design == DesignKind::ReramSc) {
+    core::TileExecutorConfig tc = tileConfigFor(cfg, par);
+    tc.mat.seed = seed;
+    tc.mat.faultModelProvider = std::move(faultModels);
+    return std::make_unique<core::TileExecutor>(tc);
+  }
+  core::BackendFactoryConfig bc = backendConfigFor(cfg);
+  bc.seed = seed;
+  return std::make_unique<core::TileExecutor>(
+      core::makeBackendLanes(design, bc, par.lanes), par);
 }
 
 RunResult runAppDetailed(AppKind app, DesignKind design, const RunConfig& cfg,
                          const ParallelConfig& par) {
+  const AppSpec& spec = appSpec(app);
   const std::size_t replicas = std::max<std::size_t>(cfg.redundancy.replicas, 1);
   RunResult result;
 
-  // Replica 0 runs on the unmodified seed, so replicas = 1 IS the old
-  // single-run path bit for bit; later replicas re-key backend randomness
+  // The scene derives from cfg.seed only, so every replica processes the
+  // same inputs and scoring uses the same ground truth.
+  const AppScene scene = spec.synthesize(cfg.width, cfg.height, cfg.seed);
+  const AppInputs in = scene.inputs(kGammaValue, cfg.upscaleFactor);
+
+  // Replica 0 runs on the unmodified seed, so replicas = 1 IS the
+  // unmitigated path bit for bit; later replicas re-key backend randomness
   // and fault draws while processing the same scene.
+  const FrameShape shape = outputShapeOf(spec, in);
   std::vector<std::vector<std::uint8_t>> outputs;
   outputs.reserve(replicas);
-  img::Image shape;
   for (std::size_t r = 0; r < replicas; ++r) {
-    img::Image out =
-        runReplica(app, design, cfg, par, reliability::replicaSeed(cfg.seed, r),
-                   result.events, result.opCount);
-    if (r == 0) shape = out;
-    outputs.push_back(std::move(out.pixels()));
+    const std::uint64_t seed = reliability::replicaSeed(cfg.seed, r);
+    const auto fleet = design != DesignKind::ReramSc && par.threads == 0
+                           ? serialFleet(design, cfg, seed, shape.height)
+                           : makeFleet(design, cfg, par, seed);
+    outputs.push_back(std::move(runStages(app, in, *fleet).pixels()));
+    result.events += fleet->totalEvents();
+    for (std::size_t i = 0; i < fleet->lanes(); ++i) {
+      result.opCount += fleet->backend(i).opCount();
+    }
   }
 
   const reliability::Vote vote =
@@ -228,110 +107,15 @@ RunResult runAppDetailed(AppKind app, DesignKind design, const RunConfig& cfg,
   std::vector<std::uint8_t> voted = replicas == 1
                                         ? std::move(outputs.front())
                                         : reliability::voteImages(outputs, vote);
-  result.output = img::Image(shape.width(), shape.height());
+  result.output = img::Image(shape.width, shape.height);
   result.output.pixels() = std::move(voted);
-  result.quality = scoreOutput(app, cfg, result.output);
+  result.quality = spec.score(in, result.output);
   return result;
 }
 
 Quality runApp(AppKind app, DesignKind design, const RunConfig& cfg,
                const ParallelConfig& par) {
   return runAppDetailed(app, design, cfg, par).quality;
-}
-
-namespace {
-
-/// Analytic AritPIM cycle counts per primitive ([35]: addition O(n) at
-/// ~16 cycles/bit, multiplication O(n^2) at ~6.5 n^2, restoring division
-/// ~n (FA + restore) per quotient bit).  Our MagicEngine decomposition is
-/// pedagogical (5-NOR XOR) and ~4x larger; the cost profile uses the
-/// optimized counts a real AritPIM deployment would see, while the fault
-/// study uses the gate-accurate engine.
-constexpr double kAritAdd8 = 130.0;
-constexpr double kAritAdd11 = 180.0;
-constexpr double kAritSub8 = 130.0;
-constexpr double kAritMul8 = 416.0;   // 6.5 * 64
-constexpr double kAritDiv16x8 = 1400.0;
-
-}  // namespace
-
-energy::AppProfile profileFor(AppKind app) {
-  energy::AppProfile p;
-  p.name = appName(app);
-  switch (app) {
-    case AppKind::Compositing:
-      p.conversionsPerElement = 3.0;  // F, B, alpha
-      p.bulkOpsPerElement = 1.0;      // one MAJ cycle
-      p.sbsWritesPerElement = 3.0;    // operand SBS storage
-      p.cmosOpClass = energy::ScOpKind::ScaledAddition;
-      p.cmosOpPasses = 1.0;
-      p.ioBytesPerElement = 4.0;      // F, B, alpha in; C out
-      // C = F*a + B*(255-a): two 8-bit multiplies, (255-a), final add.
-      p.bincimGateOps = 2 * kAritMul8 + kAritSub8 + 2 * kAritAdd8;
-      break;
-    case AppKind::Bilinear:
-      // x2 up-scaling: the four source streams are shared by the factor^2
-      // outputs in-array; the dx/dy selects are shared along rows/columns.
-      // Amortized per *output* pixel: ~4/4 + shared selects + reuse slack.
-      p.conversionsPerElement = 4.5;
-      p.bulkOpsPerElement = 3.0;  // MAJ tree
-      p.sbsWritesPerElement = 4.5;
-      p.cmosOpClass = energy::ScOpKind::ScaledAddition;
-      p.cmosOpPasses = 3.0;       // three serial MUX stages
-      p.ioBytesPerElement = 7.0;  // 4 neighbours + 2 coords in, 1 out
-      // Three integer lerps: each (256-t), 2 multiplies, add, round.
-      p.bincimGateOps = 3 * (kAritSub8 + 2 * kAritMul8 + 2 * kAritAdd8);
-      break;
-    case AppKind::Matting:
-      p.conversionsPerElement = 3.0;  // I, B, F (correlated set)
-      p.bulkOpsPerElement = 2.0;      // two XOR window ops
-      p.usesCordiv = true;
-      p.sbsWritesPerElement = 4.0;    // + quotient column for the ADC
-      p.cmosOpClass = energy::ScOpKind::Division;
-      p.cmosOpPasses = 1.6;           // division + two subtraction passes
-      p.ioBytesPerElement = 4.0;      // I, B, F in; alpha out
-      // |I-B|, |F-B| (two subs each), num*255, restoring 16/8 division.
-      p.bincimGateOps = 4 * kAritSub8 + kAritMul8 + kAritDiv16x8;
-      break;
-    case AppKind::Filters:
-      // 8-neighbour smoothing: 8 data conversions + 7 row-shared selects
-      // (amortized over the row width) per interior pixel.
-      p.conversionsPerElement = 8.2;
-      p.bulkOpsPerElement = 7.0;      // three MAJ-tree levels
-      p.sbsWritesPerElement = 8.2;
-      p.cmosOpClass = energy::ScOpKind::ScaledAddition;
-      p.cmosOpPasses = 7.0;           // seven serial MUX passes
-      p.ioBytesPerElement = 2.0;      // overlapping reads cache; 1 in, 1 out
-      // Eight 11-bit accumulating adds + rounding add.
-      p.bincimGateOps = 9 * kAritAdd11;
-      break;
-    case AppKind::Gamma:
-      // Degree-4 Bernstein synthesis: 4 independent pixel copies + 5
-      // coefficient conversions per pixel; the selection network is an
-      // 8-level MUX/MAJ tree (copies + coeffs - 1 sensing steps).
-      p.conversionsPerElement = 9.0;
-      p.bulkOpsPerElement = 8.0;
-      p.sbsWritesPerElement = 9.0;
-      p.cmosOpClass = energy::ScOpKind::ScaledAddition;
-      p.cmosOpPasses = 8.0;
-      p.ioBytesPerElement = 2.0;  // 1 in, 1 out
-      // De Casteljau: 10 integer lerps, each (255-t), 2 muls, 2 adds.
-      p.bincimGateOps = 10 * (kAritSub8 + 2 * kAritMul8 + 2 * kAritAdd8);
-      break;
-    case AppKind::Morphology:
-      // Opening = erode + dilate: per pass 9 window conversions and an
-      // 8-deep AND/OR chain per interior pixel (correlated family).
-      p.conversionsPerElement = 18.0;
-      p.bulkOpsPerElement = 16.0;
-      p.sbsWritesPerElement = 18.0;
-      p.cmosOpClass = energy::ScOpKind::Minimum;
-      p.cmosOpPasses = 16.0;
-      p.ioBytesPerElement = 2.0;  // overlapping reads cache; 1 in, 1 out
-      // Integer min/max cost two saturating 8-bit sub/add passes each.
-      p.bincimGateOps = 16 * 2 * kAritSub8;
-      break;
-  }
-  return p;
 }
 
 }  // namespace aimsc::apps

@@ -1,7 +1,7 @@
 /// \file runner.hpp
 /// \brief Unified application harness for Table IV and Figs. 4/5: one entry
-///        point, `runApp(app, design, ...)`, dispatches any application
-///        kernel onto any execution backend and scores it against the
+///        point, `runApp(app, design, ...)`, runs any row of the app table
+///        (app_spec.hpp) on any execution backend and scores it against the
 ///        floating-point reference.
 ///
 /// Table IV protocol: compositing, bilinear interpolation and filters are
@@ -11,8 +11,9 @@
 #pragma once
 
 #include <cstdint>
-#include <string_view>
+#include <memory>
 
+#include "apps/app_spec.hpp"
 #include "apps/bilinear.hpp"
 #include "apps/compositing.hpp"
 #include "apps/filters.hpp"
@@ -20,33 +21,12 @@
 #include "apps/morphology.hpp"
 #include "core/backend.hpp"
 #include "core/tile_executor.hpp"
-#include "energy/system_model.hpp"
 #include "reliability/redundancy.hpp"
 
 namespace aimsc::apps {
 
-/// The workload axis of the Table IV matrix: the paper's three evaluation
-/// apps plus the extension kernels (filters, Bernstein gamma, morphology).
-enum class AppKind { Compositing, Bilinear, Matting, Filters, Gamma,
-                     Morphology };
-
-const char* appName(AppKind app);
-
-/// Inverse of `appName`: parses an app selector from CLI/args.  Matching is
-/// case-insensitive, ignores punctuation and accepts the short alias
-/// ("matting" for "Image Matting").  Throws std::invalid_argument (listing
-/// the valid names) on no match.
-AppKind parseAppKind(std::string_view name);
-
 /// Execution substrate selector (re-exported from core for callers).
 using core::DesignKind;
-
-struct Quality {
-  double ssimPct = 0;  ///< mean SSIM * 100
-  double psnrDb = 0;
-};
-
-Quality compareQuality(const img::Image& test, const img::Image& ref);
 
 struct RunConfig {
   std::size_t width = 48;
@@ -97,15 +77,15 @@ struct RunResult {
   std::uint64_t opCount = 0;
 };
 
-/// Runs one (app, design) pair through the backend-generic kernel and
-/// returns quality vs the Table IV reference.  The ReRAM-SC design always
-/// runs on the tile-parallel engine under \p par; every other design runs
-/// serially when `par.threads == 0` (the default) and on an independently
-/// seeded backend lane fleet when `par.threads > 0`.  Tiled results are
-/// bit-identical for any nonzero `threads` given fixed
-/// `lanes`/`rowsPerTile` (lane-pinned schedule; see docs/ARCHITECTURE.md) —
-/// including under fault injection (counter-based fault RNG) and
-/// redundancy (replicas run sequentially in replica order).
+/// Runs one (app, design) pair through the app's table row and returns
+/// quality vs the Table IV reference.  The ReRAM-SC design always runs on
+/// the tile-parallel engine under \p par; every other design runs on a
+/// one-lane, one-tile fleet (the serial backend) when `par.threads == 0`
+/// (the default) and on an independently seeded backend lane fleet when
+/// `par.threads > 0`.  Tiled results are bit-identical for any nonzero
+/// `threads` given fixed `lanes`/`rowsPerTile` (lane-pinned schedule; see
+/// docs/ARCHITECTURE.md) — including under fault injection (counter-based
+/// fault RNG) and redundancy (replicas run sequentially in replica order).
 Quality runApp(AppKind app, DesignKind design, const RunConfig& cfg,
                const ParallelConfig& par = ParallelConfig{});
 
@@ -120,7 +100,13 @@ core::BackendFactoryConfig backendConfigFor(const RunConfig& cfg);
 core::TileExecutorConfig tileConfigFor(const RunConfig& cfg,
                                        const ParallelConfig& par);
 
-/// Per-element workload profile feeding the Fig. 4/5 system model.
-energy::AppProfile profileFor(AppKind app);
+/// The lane fleet of one replica, shared by runApp, the service dispatcher
+/// and the shard worker: ReRAM-SC lanes over a MatGroup (`tileConfigFor`,
+/// mats drawing their misdecision tables from \p faultModels when set),
+/// any other design as `par.lanes` backends from `makeBackendLanes`.
+/// \p seed is the fleet master seed; lanes derive their own seeds from it.
+std::unique_ptr<core::TileExecutor> makeFleet(
+    DesignKind design, const RunConfig& cfg, const ParallelConfig& par,
+    std::uint64_t seed, core::FaultModelProvider faultModels = {});
 
 }  // namespace aimsc::apps

@@ -24,25 +24,19 @@ Accelerator::Accelerator(const AcceleratorConfig& config) : config_(config) {
       rows, config_.streamLength, config_.device, config_.seed);
 
   if (config_.deviceVariability) {
-    if (config_.sharedFaultModel != nullptr) {
-      activeFaultModel_ = config_.sharedFaultModel;
-    } else if (config_.faultModelProvider) {
-      cachedFaultModel_ = config_.faultModelProvider(
-          config_.device, config_.seed ^ 0xf417, config_.faultModelSamples);
-      activeFaultModel_ = cachedFaultModel_.get();
-    } else {
-      faultModel_ = std::make_unique<reram::FaultModel>(
-          config_.device, config_.seed ^ 0xf417, config_.faultModelSamples);
-      activeFaultModel_ = faultModel_.get();
-    }
-    scouting_ = std::make_unique<reram::ScoutingLogic>(
-        *array_, reram::ScoutingLogic::Fidelity::Probabilistic,
-        activeFaultModel_, config_.seed ^ 0x5c);
-  } else {
-    scouting_ = std::make_unique<reram::ScoutingLogic>(
-        *array_, reram::ScoutingLogic::Fidelity::Ideal, nullptr,
-        config_.seed ^ 0x5c);
+    const std::uint64_t tableSeed = config_.seed ^ 0xf417;
+    faultModel_ = config_.faultModelProvider
+                      ? config_.faultModelProvider(config_.device, tableSeed,
+                                                   config_.faultModelSamples)
+                      : std::make_shared<const reram::FaultModel>(
+                            config_.device, tableSeed,
+                            config_.faultModelSamples);
   }
+  scouting_ = std::make_unique<reram::ScoutingLogic>(
+      *array_,
+      faultModel_ ? reram::ScoutingLogic::Fidelity::Probabilistic
+                  : reram::ScoutingLogic::Fidelity::Ideal,
+      faultModel_.get(), config_.seed ^ 0x5c);
 
   periphery_ = std::make_unique<reram::Periphery>(*array_);
   trng_ = std::make_unique<reram::ReramTrng>(config_.seed ^ 0x7124,
@@ -58,7 +52,7 @@ Accelerator::Accelerator(const AcceleratorConfig& config) : config_(config) {
   ic.wearWindowRows = config_.wearWindowRows;
   imsng_ = std::make_unique<Imsng>(*array_, *scouting_, *periphery_, *trng_, ic);
 
-  imops_ = std::make_unique<ImOps>(*scouting_, activeFaultModel_,
+  imops_ = std::make_unique<ImOps>(*scouting_, faultModel_.get(),
                                    config_.seed ^ 0x1305);
   ims2b_ = std::make_unique<ImS2B>(*array_, config_.adc, config_.seed ^ 0x52b);
 }
@@ -66,6 +60,11 @@ Accelerator::Accelerator(const AcceleratorConfig& config) : config_(config) {
 sc::Bitstream Accelerator::encodeProb(double p) {
   imsng_->refreshRandomness();
   return imsng_->generateProb(p);
+}
+
+void Accelerator::encodeProbInto(double p, sc::Bitstream& dst) {
+  imsng_->refreshRandomness();
+  imsng_->generateProbInto(p, dst);
 }
 
 sc::Bitstream Accelerator::encodeProbCorrelated(double p) {

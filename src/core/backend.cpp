@@ -207,10 +207,9 @@ void ScBackend::decodePixelsInto(std::span<ScValue> values,
 
 void ScBackend::decodePixelsStoredInto(std::span<ScValue> values,
                                        std::span<std::uint8_t> out) {
-  checkSameSize(values.size(), out.size(),
-                "ScBackend::decodePixelsStoredInto");
-  auto decoded = decodePixelsStored(values);
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] = decoded[i];
+  // The default stored decode IS decodePixels, so its in-place form is
+  // decodePixelsInto (native, allocation-free on the hot substrates).
+  decodePixelsInto(values, out);
 }
 
 std::uint8_t ScBackend::decodePixel(ScValue v) {

@@ -238,7 +238,9 @@ class ScBackend {
   virtual std::vector<std::uint8_t> decodePixels(std::span<ScValue> values) = 0;
 
   /// Resistance-mode decode for CORDIV outputs; defaults to decodePixels.
-  /// Consumes the values like decodePixels.
+  /// Consumes the values like decodePixels.  Override one stored form,
+  /// override both: the default `decodePixelsStoredInto` forwards to
+  /// `decodePixelsInto`, not to this.
   virtual std::vector<std::uint8_t> decodePixelsStored(
       std::span<ScValue> values);
 
@@ -308,7 +310,9 @@ class ScBackend {
   /// decoded bytes land in \p out (`out.size() == values.size()`).
   virtual void decodePixelsInto(std::span<ScValue> values,
                                 std::span<std::uint8_t> out);
-  /// In-place resistance-mode decode (CORDIV outputs).
+  /// In-place resistance-mode decode (CORDIV outputs).  Defaults to
+  /// `decodePixelsInto`, mirroring `decodePixelsStored`'s default; a
+  /// substrate that overrides one stored form must override both.
   virtual void decodePixelsStoredInto(std::span<ScValue> values,
                                       std::span<std::uint8_t> out);
 

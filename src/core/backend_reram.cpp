@@ -145,6 +145,14 @@ void ReramScBackend::encodePixelsCorrelatedInto(
   acc_->encodePixelsCorrelatedInto(values, outPtrScratch_);
 }
 
+void ReramScBackend::encodeProbInto(ScValue& dst, double p) {
+  acc_->encodeProbInto(p, dst.stream);
+}
+
+void ReramScBackend::halfStreamInto(ScValue& dst) {
+  acc_->encodeProbInto(0.5, dst.stream);
+}
+
 void ReramScBackend::multiplyInto(ScValue& dst, const ScValue& x,
                                   const ScValue& y) {
   acc_->ops().multiplyInto(dst.stream, x.stream, y.stream);

@@ -62,6 +62,8 @@ class ReramScBackend final : public ScBackend {
                         std::span<ScValue> out) override;
   void encodePixelsCorrelatedInto(std::span<const std::uint8_t> values,
                                   std::span<ScValue> out) override;
+  void encodeProbInto(ScValue& dst, double p) override;
+  void halfStreamInto(ScValue& dst) override;
   void multiplyInto(ScValue& dst, const ScValue& x, const ScValue& y) override;
   void scaledAddInto(ScValue& dst, const ScValue& x, const ScValue& y,
                      const ScValue& half) override;

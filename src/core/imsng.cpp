@@ -314,6 +314,10 @@ sc::Bitstream Imsng::generateProb(double p) {
   return generateThreshold(sc::quantizeProbability(p, config_.mBits));
 }
 
+void Imsng::generateProbInto(double p, sc::Bitstream& dst) {
+  senseThresholdInto(sc::quantizeProbability(p, config_.mBits), dst);
+}
+
 sc::Bitstream Imsng::generatePixel(std::uint8_t v) {
   return generateProb(static_cast<double>(v) / 255.0);
 }

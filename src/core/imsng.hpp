@@ -93,6 +93,9 @@ class Imsng {
 
   /// Converts probability \p p in [0,1] (quantized to M bits).
   sc::Bitstream generateProb(double p);
+  /// `generateProb` into \p dst (resized, buffer reused; no allocation when
+  /// warm under Ideal sensing).
+  void generateProbInto(double p, sc::Bitstream& dst);
 
   /// Converts an 8-bit pixel value (p = v / 255).
   sc::Bitstream generatePixel(std::uint8_t v);

@@ -29,15 +29,7 @@ MatGroupConfig groupConfigFor(const TileExecutorConfig& cfg) {
 TileExecutor::TileExecutor(const TileExecutorConfig& config)
     : par_(config) {
   validate(par_);
-  TileExecutorConfig cfg = config;
-  if (cfg.shareFaultModel && cfg.mat.deviceVariability) {
-    // One mutex-guarded misdecision table for the whole fleet: the
-    // Monte-Carlo cost is paid once instead of once per mat.
-    sharedFaults_ = std::make_unique<reram::FaultModel>(
-        cfg.mat.device, cfg.mat.seed ^ 0xf417, cfg.mat.faultModelSamples);
-    cfg.mat.sharedFaultModel = sharedFaults_.get();
-  }
-  group_ = std::make_unique<MatGroup>(groupConfigFor(cfg));
+  group_ = std::make_unique<MatGroup>(groupConfigFor(config));
   backends_.reserve(group_->size());
   for (std::size_t i = 0; i < group_->size(); ++i) {
     // Stream-level fault classes wrap each lane; draws are keyed
@@ -45,7 +37,7 @@ TileExecutor::TileExecutor(const TileExecutorConfig& config)
     // faulty runs.
     backends_.push_back(reliability::wrapWithFaults(
         std::make_unique<ReramScBackend>(group_->mat(i)), DesignKind::ReramSc,
-        cfg.faults, cfg.mat.seed, i));
+        config.faults, config.mat.seed, i));
   }
   makeArenas();
   pool_ = std::make_unique<ThreadPool>(std::min(par_.threads, par_.lanes));
@@ -100,9 +92,8 @@ MatGroup& TileExecutor::group() {
   return *group_;
 }
 
-std::vector<std::function<void()>> TileExecutor::buildLaneTasks(
-    std::size_t imageHeight,
-    std::function<void(std::size_t, std::size_t, std::size_t)> tile) {
+std::vector<std::function<void()>> TileExecutor::laneTasks(
+    std::size_t imageHeight, ArenaTileKernel kernel) {
   std::vector<std::function<void()>> tasks;
   if (imageHeight == 0) return tasks;
   const std::size_t numTiles =
@@ -111,9 +102,7 @@ std::vector<std::function<void()>> TileExecutor::buildLaneTasks(
   // The kernel is shared by value across the closures so the task vector
   // stays valid after the caller's kernel object dies (laneTasks callers
   // run the wave later, on their own pool).
-  auto shared =
-      std::make_shared<std::function<void(std::size_t, std::size_t,
-                                          std::size_t)>>(std::move(tile));
+  auto shared = std::make_shared<ArenaTileKernel>(std::move(kernel));
   tasks.reserve(backends_.size());
   for (std::size_t laneIdx = 0; laneIdx < backends_.size(); ++laneIdx) {
     if (laneIdx >= numTiles) break;  // more lanes than tiles
@@ -124,59 +113,19 @@ std::vector<std::function<void()>> TileExecutor::buildLaneTasks(
         const std::size_t rowBegin = t * par_.rowsPerTile;
         const std::size_t rowEnd =
             std::min(rowBegin + par_.rowsPerTile, imageHeight);
-        (*shared)(laneIdx, rowBegin, rowEnd);
+        // Reset per tile: cursors rewind, capacity stays — the kernel
+        // re-acquires the same warm slots in the same order.
+        arenas_[laneIdx]->reset();
+        (*shared)(*backends_[laneIdx], *arenas_[laneIdx], rowBegin, rowEnd);
       }
     });
   }
   return tasks;
 }
 
-void TileExecutor::runTiles(
-    std::size_t imageHeight,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& tile) {
-  pool_->run(buildLaneTasks(imageHeight, tile));
-}
-
-std::vector<std::function<void()>> TileExecutor::laneTasks(
-    std::size_t imageHeight, ArenaTileKernel kernel) {
-  return buildLaneTasks(
-      imageHeight,
-      [this, kernel = std::move(kernel)](std::size_t lane, std::size_t r0,
-                                         std::size_t r1) {
-        arenas_[lane]->reset();
-        kernel(*backends_[lane], *arenas_[lane], r0, r1);
-      });
-}
-
-void TileExecutor::forEachTile(std::size_t imageHeight,
-                               const BackendTileKernel& kernel) {
-  runTiles(imageHeight, [this, &kernel](std::size_t lane, std::size_t r0,
-                                        std::size_t r1) {
-    kernel(*backends_[lane], r0, r1);
-  });
-}
-
 void TileExecutor::forEachTile(std::size_t imageHeight,
                                const ArenaTileKernel& kernel) {
-  runTiles(imageHeight, [this, &kernel](std::size_t lane, std::size_t r0,
-                                        std::size_t r1) {
-    // Reset per tile: cursors rewind, capacity stays — the kernel
-    // re-acquires the same warm slots in the same order.
-    arenas_[lane]->reset();
-    kernel(*backends_[lane], *arenas_[lane], r0, r1);
-  });
-}
-
-void TileExecutor::forEachTile(std::size_t imageHeight,
-                               const TileKernel& kernel) {
-  if (group_ == nullptr) {
-    throw std::logic_error(
-        "TileExecutor: Accelerator kernels need a ReRAM fleet");
-  }
-  runTiles(imageHeight, [this, &kernel](std::size_t lane, std::size_t r0,
-                                        std::size_t r1) {
-    kernel(group_->mat(lane), r0, r1);
-  });
+  pool_->run(laneTasks(imageHeight, kernel));
 }
 
 reram::EventCounts TileExecutor::totalEvents() const {

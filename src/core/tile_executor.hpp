@@ -63,39 +63,23 @@ struct TileExecutorConfig : ParallelConfig {
   /// keyed (mat seed, lane index) so faulty tiled runs stay bit-identical
   /// at any worker-thread count.
   reliability::FaultPlan faults{};
-
-  /// Build ONE mutex-guarded FaultModel and share it across all mats
-  /// instead of the per-mat Monte-Carlo tables.  Opt-in: sharing changes
-  /// which misdecision table lanes sample (one table, seed = mat seed),
-  /// so historic per-mat faulty bit streams are preserved by default.
-  bool shareFaultModel = false;
 };
 
 class TileExecutor {
  public:
-  /// Backend-generic kernel invoked once per tile: \p lane is the backend
-  /// pinned to the tile, rows [rowBegin, rowEnd) are the tile's image rows.
+  /// The tile kernel, invoked once per tile: \p lane is the backend pinned
+  /// to the tile, rows [rowBegin, rowEnd) are the tile's image rows.
   /// Kernels for different tiles of the SAME lane run sequentially in tile
   /// order on one thread; kernels on different lanes may run concurrently
-  /// and must only touch disjoint output rows.
-  using BackendTileKernel = std::function<void(
-      ScBackend& lane, std::size_t rowBegin, std::size_t rowEnd)>;
-
-  /// Arena-aware kernel: \p arena is the lane's private StreamArena, reset
-  /// by the executor BEFORE each tile so the kernel re-acquires the same
-  /// warm slot set (zero steady-state allocations; see stream_arena.hpp).
-  /// Arena state never carries values between tiles — only buffer capacity
-  /// — so the lane-pinned bit-identical-at-any-thread-count contract is
-  /// untouched.
+  /// and must only touch disjoint output rows.  \p arena is the lane's
+  /// private StreamArena, reset by the executor BEFORE each tile so the
+  /// kernel re-acquires the same warm slot set (zero steady-state
+  /// allocations; see stream_arena.hpp).  Arena state never carries values
+  /// between tiles — only buffer capacity — so the lane-pinned
+  /// bit-identical-at-any-thread-count contract is untouched.
   using ArenaTileKernel =
       std::function<void(ScBackend& lane, StreamArena& arena,
                          std::size_t rowBegin, std::size_t rowEnd)>;
-
-  /// Accelerator-level kernel (ReRAM-SC lane fleets only; prefer the
-  /// backend form for new code).
-  using TileKernel =
-      std::function<void(Accelerator& lane, std::size_t rowBegin,
-                         std::size_t rowEnd)>;
 
   /// ReRAM-SC lane fleet over a MatGroup (the paper's configuration).
   explicit TileExecutor(const TileExecutorConfig& config);
@@ -108,18 +92,17 @@ class TileExecutor {
   /// Shards [0, imageHeight) into tiles and runs \p kernel over all of them
   /// with the lane-pinned schedule.  Rethrows the first kernel exception
   /// after all lanes have drained.
-  void forEachTile(std::size_t imageHeight, const BackendTileKernel& kernel);
   void forEachTile(std::size_t imageHeight, const ArenaTileKernel& kernel);
-  void forEachTile(std::size_t imageHeight, const TileKernel& kernel);
 
-  /// Builds the lane-pinned task closures WITHOUT running them — the
-  /// cross-request batching hook.  Each closure is one lane's full tile
-  /// sequence (arena reset before every tile, ascending tile order) and is
-  /// self-contained: lanes of different executors never share state, so a
-  /// caller may merge many executors' tasks into one shared-pool wave
-  /// (service::AcceleratorService does) and the bits each executor produces
-  /// are identical to a private forEachTile run at any thread count.  The
-  /// kernel is copied into the closures; the executor must outlive them.
+  /// Builds the lane-pinned task closures WITHOUT running them — what
+  /// forEachTile runs, and the cross-request batching hook.  Each closure
+  /// is one lane's full tile sequence (arena reset before every tile,
+  /// ascending tile order) and is self-contained: lanes of different
+  /// executors never share state, so a caller may merge many executors'
+  /// tasks into one shared-pool wave (service::AcceleratorService does) and
+  /// the bits each executor produces are identical to a private forEachTile
+  /// run at any thread count.  The kernel is copied into the closures; the
+  /// executor must outlive them.
   std::vector<std::function<void()>> laneTasks(std::size_t imageHeight,
                                                ArenaTileKernel kernel);
 
@@ -160,25 +143,11 @@ class TileExecutor {
   double estimatedWallClockNs() const;
 
  private:
-  /// Lane-pinned tile schedule shared by both kernel forms.
-  void runTiles(std::size_t imageHeight,
-                const std::function<void(std::size_t lane, std::size_t rowBegin,
-                                         std::size_t rowEnd)>& tile);
-
-  /// Builds the per-lane closures runTiles executes (shared with
-  /// laneTasks); \p tile is copied into each closure.
-  std::vector<std::function<void()>> buildLaneTasks(
-      std::size_t imageHeight,
-      std::function<void(std::size_t lane, std::size_t rowBegin,
-                         std::size_t rowEnd)>
-          tile);
-
   /// Builds one arena per lane (both constructors).
   void makeArenas();
 
   ParallelConfig par_;
   std::unique_ptr<MatGroup> group_;  ///< ReRAM fleets only
-  std::unique_ptr<reram::FaultModel> sharedFaults_;  ///< shareFaultModel
   std::vector<std::unique_ptr<ScBackend>> backends_;
   std::vector<std::unique_ptr<StreamArena>> arenas_;  ///< one per lane
   std::unique_ptr<ThreadPool> pool_;

@@ -52,10 +52,9 @@ struct AcceleratorService::Pending {
   std::uint64_t id = 0;
   Clock::time_point submitTime;
 
-  // Batch-local execution state (dispatcher only).
-  std::vector<std::unique_ptr<core::TileExecutor>> execs;  // one per replica
-  std::vector<img::Image> replicaOut;                      // one per replica
-  std::vector<img::Image> morphTmp;  // morphology stage-0 intermediates
+  // Batch-local execution state (dispatcher only), one entry per replica.
+  std::vector<std::unique_ptr<core::TileExecutor>> execs;
+  std::vector<apps::StageRunner> runs;
 
   // Completion (guarded by the service ticket mutex).
   bool done = false;
@@ -138,94 +137,70 @@ bool AcceleratorService::poll(const Ticket& ticket) const {
   return it == tickets_.end() || it->second->done;
 }
 
-std::optional<RequestResult> AcceleratorService::waitFor(
-    const Ticket& ticket, std::chrono::microseconds timeout) {
-  std::shared_ptr<Pending> pending;
-  {
-    std::unique_lock<std::mutex> lock(ticketMutex_);
-    const auto it = tickets_.find(ticket.id);
-    if (it == tickets_.end()) {
-      throw std::invalid_argument(
-          "AcceleratorService: unknown or already-redeemed ticket");
-    }
-    pending = it->second;
-    if (!ticketCv_.wait_for(lock, timeout, [&] { return pending->done; })) {
-      return std::nullopt;  // still pending; ticket stays redeemable
-    }
-    tickets_.erase(ticket.id);
+std::shared_ptr<AcceleratorService::Pending> AcceleratorService::redeem(
+    const Ticket& ticket, std::optional<std::chrono::microseconds> timeout) {
+  std::unique_lock<std::mutex> lock(ticketMutex_);
+  const auto it = tickets_.find(ticket.id);
+  if (it == tickets_.end()) {
+    throw std::invalid_argument(
+        "AcceleratorService: unknown or already-redeemed ticket");
   }
-  if (!pending->error.empty()) throw std::runtime_error(pending->error);
-  return pending->result;
+  std::shared_ptr<Pending> pending = it->second;
+  const auto resolved = [&] { return pending->done; };
+  if (!timeout) {
+    ticketCv_.wait(lock, resolved);
+  } else if (!ticketCv_.wait_for(lock, *timeout, resolved)) {
+    return nullptr;  // still pending; ticket stays redeemable
+  }
+  tickets_.erase(ticket.id);
+  return pending;
 }
 
-RequestResult AcceleratorService::wait(const Ticket& ticket) {
-  std::shared_ptr<Pending> pending;
-  {
-    std::unique_lock<std::mutex> lock(ticketMutex_);
-    const auto it = tickets_.find(ticket.id);
-    if (it == tickets_.end()) {
-      throw std::invalid_argument(
-          "AcceleratorService: unknown or already-redeemed ticket");
-    }
-    pending = it->second;
-    ticketCv_.wait(lock, [&] { return pending->done; });
-    tickets_.erase(ticket.id);
+namespace {
+
+// Redemption of a resolved Pending (a private type, hence the templates).
+template <typename P>
+RequestResult resultOf(const P& p) {
+  if (!p.error.empty()) throw std::runtime_error(p.error);
+  return p.result;
+}
+
+template <typename P>
+TicketOutcome outcomeOf(const P& p) {
+  TicketOutcome outcome;
+  if (!p.error.empty()) {
+    outcome.status = TicketStatus::Failed;
+    outcome.error = p.error;
+    return outcome;
   }
-  if (!pending->error.empty()) throw std::runtime_error(pending->error);
-  return pending->result;
+  outcome.result = p.result;
+  outcome.status =
+      p.result.degraded ? TicketStatus::Degraded : TicketStatus::Ok;
+  return outcome;
+}
+
+}  // namespace
+
+RequestResult AcceleratorService::wait(const Ticket& ticket) {
+  return resultOf(*redeem(ticket, std::nullopt));
+}
+
+std::optional<RequestResult> AcceleratorService::waitFor(
+    const Ticket& ticket, std::chrono::microseconds timeout) {
+  const auto pending = redeem(ticket, timeout);
+  if (pending == nullptr) return std::nullopt;
+  return resultOf(*pending);
 }
 
 TicketOutcome AcceleratorService::waitOutcome(const Ticket& ticket) {
-  std::shared_ptr<Pending> pending;
-  {
-    std::unique_lock<std::mutex> lock(ticketMutex_);
-    const auto it = tickets_.find(ticket.id);
-    if (it == tickets_.end()) {
-      throw std::invalid_argument(
-          "AcceleratorService: unknown or already-redeemed ticket");
-    }
-    pending = it->second;
-    ticketCv_.wait(lock, [&] { return pending->done; });
-    tickets_.erase(ticket.id);
-  }
-  TicketOutcome outcome;
-  if (!pending->error.empty()) {
-    outcome.status = TicketStatus::Failed;
-    outcome.error = pending->error;
-    return outcome;
-  }
-  outcome.result = pending->result;
-  outcome.status = pending->result.degraded ? TicketStatus::Degraded
-                                            : TicketStatus::Ok;
-  return outcome;
+  return outcomeOf(*redeem(ticket, std::nullopt));
 }
 
 std::optional<TicketOutcome> AcceleratorService::waitOutcomeFor(
     const Ticket& ticket, std::chrono::microseconds timeout) {
-  std::shared_ptr<Pending> pending;
-  {
-    std::unique_lock<std::mutex> lock(ticketMutex_);
-    const auto it = tickets_.find(ticket.id);
-    if (it == tickets_.end()) {
-      throw std::invalid_argument(
-          "AcceleratorService: unknown or already-redeemed ticket");
-    }
-    pending = it->second;
-    if (!ticketCv_.wait_for(lock, timeout, [&] { return pending->done; })) {
-      return std::nullopt;  // still pending; ticket stays redeemable
-    }
-    tickets_.erase(ticket.id);
-  }
-  TicketOutcome outcome;
-  if (!pending->error.empty()) {
-    outcome.status = TicketStatus::Failed;
-    outcome.error = pending->error;
-    return outcome;
-  }
-  outcome.result = pending->result;
-  outcome.status = pending->result.degraded ? TicketStatus::Degraded
-                                            : TicketStatus::Ok;
-  return outcome;
+  const auto pending = redeem(ticket, timeout);
+  if (pending == nullptr) return std::nullopt;
+  return outcomeOf(*pending);
 }
 
 RequestResult AcceleratorService::run(TenantId tenant, const Request& request) {
@@ -276,6 +251,36 @@ void AcceleratorService::shutdown() {
   if (dispatcher_.joinable()) dispatcher_.join();
 }
 
+void AcceleratorService::finish(Pending& p, const std::string& error,
+                                const RequestResult& result) {
+  std::lock_guard<std::mutex> lock(ticketMutex_);
+  p.error = error;
+  p.result = result;
+  p.done = true;
+  ticketCv_.notify_all();
+}
+
+void AcceleratorService::billLocked(TenantId tenant, std::size_t pixels,
+                                    std::size_t replicas,
+                                    const RequestResult& res) {
+  TenantLedger& ledger = ledgers_[tenant];
+  ledger.requests += 1;
+  ledger.pixels += pixels;
+  ledger.replicasRun += replicas;
+  ledger.opCount += res.opCount;
+  ledger.events += res.events;
+}
+
+void AcceleratorService::recordBatchLocked(std::size_t batchSize,
+                                           std::size_t served) {
+  stats_.requestsServed += served;
+  stats_.batches += 1;
+  if (stats_.batchOccupancy.size() <= batchSize) {
+    stats_.batchOccupancy.resize(batchSize + 1, 0);
+  }
+  stats_.batchOccupancy[batchSize] += 1;
+}
+
 void AcceleratorService::dispatchLoop() {
   for (;;) {
     {
@@ -324,12 +329,8 @@ void AcceleratorService::executeBatchSharded(
 
       const OutputShape shape = outputShapeFor(q);
       std::lock_guard<std::mutex> lock(statsMutex_);
-      TenantLedger& ledger = ledgers_[p->tenant];
-      ledger.requests += 1;
-      ledger.pixels += shape.width * shape.height;
-      ledger.replicasRun += std::max<std::size_t>(q.redundancy.replicas, 1);
-      ledger.opCount += res.opCount;
-      ledger.events += res.events;
+      billLocked(p->tenant, shape.width * shape.height,
+                 std::max<std::size_t>(q.redundancy.replicas, 1), res);
       if (res.degraded) ++stats_.degradedRequests;
       snapshotFabricLocked();
       ++served;
@@ -338,25 +339,14 @@ void AcceleratorService::executeBatchSharded(
         std::lock_guard<std::mutex> slock(statsMutex_);
         snapshotFabricLocked();
       }
-      std::lock_guard<std::mutex> lock(ticketMutex_);
-      p->error = e.what();
-      p->done = true;
-      ticketCv_.notify_all();
+      finish(*p, e.what());
       continue;
     }
-    std::lock_guard<std::mutex> lock(ticketMutex_);
-    p->result = res;
-    p->done = true;
-    ticketCv_.notify_all();
+    finish(*p, {}, res);
   }
 
   std::lock_guard<std::mutex> lock(statsMutex_);
-  stats_.requestsServed += served;
-  stats_.batches += 1;
-  if (stats_.batchOccupancy.size() <= batch.size()) {
-    stats_.batchOccupancy.resize(batch.size() + 1, 0);
-  }
-  stats_.batchOccupancy[batch.size()] += 1;
+  recordBatchLocked(batch.size(), served);
   snapshotFabricLocked();
 }
 
@@ -368,76 +358,54 @@ void AcceleratorService::executeBatch(
   }
   const auto batchStart = Clock::now();
 
-  // Stage 0: every request builds its per-replica lane fleets and
-  // contributes its lane tasks to ONE merged wave.  Tasks are
-  // self-contained (own backends/arenas, disjoint rows of the request's
-  // own staging image), so wave composition cannot change any bit.
-  std::vector<std::function<void()>> wave;
-  for (auto& p : batch) {
-    try {
-      const Request& q = p->request;
-      const OutputShape shape = outputShapeFor(q);
-      const std::size_t replicas = std::max<std::size_t>(
-          q.redundancy.replicas, 1);
-      p->execs.reserve(replicas);
-      p->replicaOut.reserve(replicas);
-      if (q.app == apps::AppKind::Morphology) p->morphTmp.reserve(replicas);
-      const ExecShape es{config_.lanes, config_.rowsPerTile};
-      for (std::size_t r = 0; r < replicas; ++r) {
-        p->execs.push_back(makeRequestExecutor(
-            es, q, reliability::replicaSeed(p->effectiveSeed, r),
-            faultCache_));
-        // Staging init mirrors each app's whole-image form (shared with the
-        // shard worker — see request_kernels.hpp): morphology's source copy
-        // is the erode intermediate, its output starts blank.
-        if (q.app == apps::AppKind::Morphology) {
-          p->morphTmp.push_back(makeStage0Staging(q, shape));
-          p->replicaOut.push_back(img::Image(shape.width, shape.height));
-        } else {
-          p->replicaOut.push_back(makeStage0Staging(q, shape));
+  // Every request builds its per-replica lane fleets, then the batch runs
+  // stage-major: ONE merged wave per stage collects stage s of every
+  // rider's replicas (a later stage reads its predecessor's full output,
+  // so the barrier sits between waves).  Tasks are self-contained (own
+  // backends/arenas, disjoint rows of the replica's own stage buffer), so
+  // wave composition cannot change any bit.
+  const ExecShape es{config_.lanes, config_.rowsPerTile};
+  for (std::size_t s = 0; s < apps::kMaxStages; ++s) {
+    std::vector<std::function<void()>> wave;
+    for (auto& p : batch) {
+      if (p->done) continue;  // failed in setup
+      try {
+        const Request& q = p->request;
+        if (s == 0) {
+          const std::size_t replicas =
+              std::max<std::size_t>(q.redundancy.replicas, 1);
+          p->execs.reserve(replicas);
+          p->runs.reserve(replicas);
+          for (std::size_t r = 0; r < replicas; ++r) {
+            p->execs.push_back(makeRequestExecutor(
+                es, q, reliability::replicaSeed(p->effectiveSeed, r),
+                faultCache_));
+            p->runs.emplace_back(apps::appSpec(q.app), inputsOf(q));
+          }
         }
-        img::Image& stage0Out = q.app == apps::AppKind::Morphology
-                                    ? p->morphTmp[r]
-                                    : p->replicaOut[r];
-        auto tasks = p->execs[r]->laneTasks(stage0Out.height(),
-                                            stage0Kernel(q, stage0Out));
-        for (auto& t : tasks) wave.push_back(std::move(t));
+        for (std::size_t r = 0; r < p->runs.size(); ++r) {
+          apps::StageRunner& run = p->runs[r];
+          if (s >= run.stages()) continue;
+          auto tasks = p->execs[r]->laneTasks(run.height(), run.stage(s));
+          for (auto& t : tasks) wave.push_back(std::move(t));
+        }
+      } catch (const std::exception& e) {
+        finish(*p, e.what());
       }
+    }
+    if (wave.empty()) break;
+    try {
+      pool_.run(std::move(wave));
     } catch (const std::exception& e) {
       std::lock_guard<std::mutex> lock(ticketMutex_);
-      p->error = e.what();
-      p->done = true;
-      ticketCv_.notify_all();
-    }
-  }
-
-  try {
-    pool_.run(std::move(wave));
-
-    // Stage 1 (morphology riders only): seed the dilate staging from the
-    // eroded intermediate, then run the second merged wave on the SAME
-    // lane fleets — exactly openKernelTiled's two-pass schedule.
-    std::vector<std::function<void()>> wave1;
-    for (auto& p : batch) {
-      if (p->done || p->request.app != apps::AppKind::Morphology) continue;
-      for (std::size_t r = 0; r < p->execs.size(); ++r) {
-        p->replicaOut[r].pixels() = p->morphTmp[r].pixels();
-        auto tasks = p->execs[r]->laneTasks(
-            p->replicaOut[r].height(),
-            stage1Kernel(p->morphTmp[r], p->replicaOut[r]));
-        for (auto& t : tasks) wave1.push_back(std::move(t));
+      for (auto& p : batch) {
+        if (p->done) continue;
+        p->error = std::string("batch execution failed: ") + e.what();
+        p->done = true;
       }
+      ticketCv_.notify_all();
+      return;
     }
-    if (!wave1.empty()) pool_.run(std::move(wave1));
-  } catch (const std::exception& e) {
-    std::lock_guard<std::mutex> lock(ticketMutex_);
-    for (auto& p : batch) {
-      if (p->done) continue;
-      p->error = std::string("batch execution failed: ") + e.what();
-      p->done = true;
-    }
-    ticketCv_.notify_all();
-    return;
   }
 
   const auto batchEnd = Clock::now();
@@ -451,9 +419,9 @@ void AcceleratorService::executeBatch(
     RequestResult res;
     try {
       std::vector<std::vector<std::uint8_t>> outputs;
-      outputs.reserve(p->replicaOut.size());
-      for (auto& image : p->replicaOut) {
-        outputs.push_back(std::move(image.pixels()));
+      outputs.reserve(p->runs.size());
+      for (auto& run : p->runs) {
+        outputs.push_back(std::move(run.output().pixels()));
       }
       const reliability::Vote vote =
           reliability::resolveVote(q.redundancy.vote, q.design);
@@ -474,40 +442,22 @@ void AcceleratorService::executeBatch(
 
       {
         std::lock_guard<std::mutex> lock(statsMutex_);
-        TenantLedger& ledger = ledgers_[p->tenant];
-        ledger.requests += 1;
-        ledger.pixels += voted.size();
-        ledger.replicasRun += p->execs.size();
-        ledger.opCount += res.opCount;
-        ledger.events += res.events;
+        billLocked(p->tenant, voted.size(), p->execs.size(), res);
       }
       ++served;
     } catch (const std::exception& e) {
-      std::lock_guard<std::mutex> lock(ticketMutex_);
-      p->error = e.what();
-      p->done = true;
-      ticketCv_.notify_all();
+      finish(*p, e.what());
       continue;
     }
 
     // Free the batch-local execution state before handing the result over.
     p->execs.clear();
-    p->replicaOut.clear();
-    p->morphTmp.clear();
-
-    std::lock_guard<std::mutex> lock(ticketMutex_);
-    p->result = res;
-    p->done = true;
-    ticketCv_.notify_all();
+    p->runs.clear();
+    finish(*p, {}, res);
   }
 
   std::lock_guard<std::mutex> lock(statsMutex_);
-  stats_.requestsServed += served;
-  stats_.batches += 1;
-  if (stats_.batchOccupancy.size() <= batch.size()) {
-    stats_.batchOccupancy.resize(batch.size() + 1, 0);
-  }
-  stats_.batchOccupancy[batch.size()] += 1;
+  recordBatchLocked(batch.size(), served);
 }
 
 }  // namespace aimsc::service

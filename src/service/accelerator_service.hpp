@@ -170,7 +170,19 @@ class AcceleratorService {
   void dispatchLoop();
   void executeBatch(std::vector<std::shared_ptr<Pending>>& batch);
   void executeBatchSharded(std::vector<std::shared_ptr<Pending>>& batch);
+  /// Resolves \p p (empty \p error = success) and wakes its waiters.
+  void finish(Pending& p, const std::string& error,
+              const RequestResult& result = {});
+  /// Bills one served request to \p tenant (statsMutex_ held).
+  void billLocked(TenantId tenant, std::size_t pixels, std::size_t replicas,
+                  const RequestResult& res);
+  /// Counts one executed batch (statsMutex_ held).
+  void recordBatchLocked(std::size_t batchSize, std::size_t served);
   std::shared_ptr<Pending> makePending(TenantId tenant, const Request& request);
+  /// Takes \p ticket out of the table once resolved, blocking up to
+  /// \p timeout (forever when nullopt); nullptr on timeout.
+  std::shared_ptr<Pending> redeem(
+      const Ticket& ticket, std::optional<std::chrono::microseconds> timeout);
   Ticket registerTicket(const std::shared_ptr<Pending>& pending);
 
   ServiceConfig config_;

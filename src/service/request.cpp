@@ -5,52 +5,12 @@
 
 namespace aimsc::service {
 
-namespace {
-
-void requireFrame(const img::ImageView& v, const char* role) {
-  if (v.data() == nullptr || v.empty()) {
-    throw std::invalid_argument(std::string("service::Request: missing ") +
-                                role + " frame");
-  }
+apps::AppInputs inputsOf(const Request& q) {
+  return {q.src, q.aux1, q.aux2, q.gamma, q.upscaleFactor};
 }
-
-void requireSameShape(const img::ImageView& a, const img::ImageView& b,
-                      const char* what) {
-  if (a.width() != b.width() || a.height() != b.height()) {
-    throw std::invalid_argument(
-        std::string("service::Request: frame shape mismatch (") + what + ")");
-  }
-}
-
-}  // namespace
 
 OutputShape outputShapeFor(const Request& q) {
-  requireFrame(q.src, "src");
-  switch (q.app) {
-    case apps::AppKind::Compositing:
-      requireFrame(q.aux1, "foreground (aux1)");
-      requireFrame(q.aux2, "alpha (aux2)");
-      requireSameShape(q.src, q.aux1, "background vs foreground");
-      requireSameShape(q.src, q.aux2, "background vs alpha");
-      return {q.src.width(), q.src.height()};
-    case apps::AppKind::Matting:
-      requireFrame(q.aux1, "background (aux1)");
-      requireFrame(q.aux2, "foreground (aux2)");
-      requireSameShape(q.src, q.aux1, "composite vs background");
-      requireSameShape(q.src, q.aux2, "composite vs foreground");
-      return {q.src.width(), q.src.height()};
-    case apps::AppKind::Bilinear:
-      if (q.upscaleFactor < 1) {
-        throw std::invalid_argument("service::Request: bad upscaleFactor");
-      }
-      return {q.src.width() * q.upscaleFactor,
-              q.src.height() * q.upscaleFactor};
-    case apps::AppKind::Filters:
-    case apps::AppKind::Gamma:
-    case apps::AppKind::Morphology:
-      return {q.src.width(), q.src.height()};
-  }
-  throw std::invalid_argument("service::Request: bad app");
+  return apps::outputShapeOf(apps::appSpec(q.app), inputsOf(q));
 }
 
 void validateRequest(const Request& q) {

@@ -9,7 +9,8 @@
 /// straight into the client's output buffer at join time.  The client
 /// guarantees every buffer outlives the ticket.
 ///
-/// Frame roles per app (unused views stay empty):
+/// Frame roles per app (the app table's `roles`, apps/app_spec.hpp; unused
+/// views stay empty):
 ///
 ///  | app         | `src`          | `aux1`       | `aux2`       | output        |
 ///  |-------------|----------------|--------------|--------------|---------------|
@@ -28,7 +29,8 @@
 
 #include <cstdint>
 
-#include "apps/runner.hpp"
+#include "apps/app_spec.hpp"
+#include "core/backend.hpp"
 #include "img/image.hpp"
 #include "reliability/fault_plan.hpp"
 #include "reliability/redundancy.hpp"
@@ -66,11 +68,11 @@ struct Request {
 
 /// Expected output width/height for \p q (throws std::invalid_argument on
 /// missing/mismatched input frames — the same checks submit() performs).
-struct OutputShape {
-  std::size_t width = 0;
-  std::size_t height = 0;
-};
+using OutputShape = apps::FrameShape;
 OutputShape outputShapeFor(const Request& q);
+
+/// The request's frames and knobs as app-table inputs.
+apps::AppInputs inputsOf(const Request& q);
 
 /// Validates frames and the output span; throws std::invalid_argument with
 /// a reason.  Called by submit(), exposed for clients that want to check

@@ -1,15 +1,15 @@
 /// \file request_kernels.hpp
-/// \brief The single request -> lane-fleet construction path shared by the
-///        in-process dispatcher (AcceleratorService) and the shard worker
-///        (shard::ShardWorker).
+/// \brief A request's lane fleet and stages, for the in-process dispatcher
+///        (AcceleratorService) and the shard worker (shard::ShardWorker).
 ///
 /// The service's byte-exactness contract — a request's output bytes are a
 /// pure function of (request fields, tenant seed namespace), equal to the
 /// one-shot apps::runApp — only survives process fan-out if every executor
-/// that touches the request is built IDENTICALLY: same TileExecutorConfig
-/// derivation, same staging-image initialization, same kernel closures.
-/// These helpers are that one definition; both executors call them, so the
-/// two paths cannot drift.
+/// that touches the request is built IDENTICALLY.  There is one definition
+/// of each part: the fleet is `apps::makeFleet` (the builder runApp uses),
+/// and the staging init and stage kernels are the request's app-table row
+/// run through `apps::StageRunner`.  The helpers below are thin views of
+/// those for callers that drive the stages by hand.
 #pragma once
 
 #include <memory>
@@ -28,9 +28,9 @@ struct ExecShape {
   std::size_t rowsPerTile = 4;
 };
 
-/// Per-replica lane fleet for one request — the exact configuration
-/// apps::runReplica builds, so a service request is bit-identical to the
-/// equivalent runApp call (tests assert this).  The daemon-only difference
+/// Per-replica lane fleet for one request — `apps::makeFleet`, the builder
+/// runApp uses, so a service request is bit-identical to the equivalent
+/// runApp call (tests assert this).  The daemon-only difference
 /// is warm state: device-variability mats draw their misdecision tables
 /// from \p faultCache instead of re-running the Monte-Carlo per call (a
 /// bit-preserving memoization — see fault_model_cache.hpp).  \p seed is the
@@ -40,22 +40,18 @@ std::unique_ptr<core::TileExecutor> makeRequestExecutor(
     const ExecShape& shape, const Request& q, std::uint64_t seed,
     FaultModelCache& faultCache);
 
-/// Stage-0 staging image for \p q: what the stage-0 kernel writes into.
-/// Smoothing copies the source through (border rows/columns pass through
-/// untouched); morphology copies the source as the erode intermediate; the
-/// rest start blank at the output shape and are fully overwritten.
+/// Stage-0 staging image for \p q per its app row's staging init (a copy
+/// of the source, or blank at the output shape).
 img::Image makeStage0Staging(const Request& q, const OutputShape& shape);
 
-/// Stage-0 tile kernel for \p q writing \p out (for morphology: the erode
-/// pass into the intermediate).  Views and spans are captured by value —
-/// they are pointers into client/staging memory that must outlive the wave.
+/// Stage-0 tile kernel of \p q's app row writing \p out (for morphology:
+/// the erode pass into the intermediate).
 core::TileExecutor::ArenaTileKernel stage0Kernel(const Request& q,
                                                  img::Image& out);
 
-/// Stage-1 kernel (morphology only): the dilate pass over the eroded
-/// intermediate, mirroring openKernelTiled's second forEachTile on the
-/// SAME lane fleet.  The caller seeds `out.pixels() = tmp.pixels()` first
-/// (borders pass through), exactly as the whole-image form does.
+/// Stage-1 kernel of the two-stage row (morphology): the dilate pass over
+/// the eroded intermediate.  The caller seeds `out.pixels() = tmp.pixels()`
+/// first (borders pass through), as the row's staging init does.
 core::TileExecutor::ArenaTileKernel stage1Kernel(const img::Image& tmp,
                                                  img::Image& out);
 

@@ -195,7 +195,7 @@ reliability::FaultPlan readFaultPlan(WireReader& r) {
 
 apps::AppKind readAppKind(WireReader& r) {
   const std::uint8_t v = r.u8();
-  if (v > static_cast<std::uint8_t>(apps::AppKind::Morphology)) {
+  if (v >= apps::kAppCount) {
     throw DecodeError("wire: unknown AppKind");
   }
   return static_cast<apps::AppKind>(v);

@@ -79,7 +79,6 @@ std::vector<std::uint8_t> ShardWorker::serve(
 
 WireReply ShardWorker::execute(const WireRequest& wq) {
   const service::Request q = wq.toRequest();
-  const service::OutputShape shape = service::outputShapeFor(q);
 
   const service::ExecShape es{wq.lanes, wq.rowsPerTile};
   auto exec = service::makeRequestExecutor(es, q, wq.assignment.laneSeedBase,
@@ -95,39 +94,27 @@ WireReply ShardWorker::execute(const WireRequest& wq) {
     return lane % stride == begin;
   };
 
-  img::Image staging = service::makeStage0Staging(q, shape);
-  auto stage0 = exec->laneTasks(staging.height(),
-                                service::stage0Kernel(q, staging));
-
-  img::Image morphOut;
-  const img::Image* output = &staging;
-  if (q.app == apps::AppKind::Morphology) {
-    // Dilate reads the FULL eroded intermediate, so stage 0 runs for every
-    // lane (deterministic — identical in every worker); stage 1 runs for
-    // owned lanes only, and ledgers are reported for owned lanes only, so
-    // the merged bill equals the solo fleet sum exactly.
-    for (auto& task : stage0) task();
-    morphOut = img::Image(shape.width, shape.height);
-    morphOut.pixels() = staging.pixels();
-    auto stage1 = exec->laneTasks(morphOut.height(),
-                                  service::stage1Kernel(staging, morphOut));
-    for (std::size_t lane = 0; lane < stage1.size(); ++lane) {
-      if (owned(lane)) stage1[lane]();
-    }
-    output = &morphOut;
-  } else {
-    for (std::size_t lane = 0; lane < stage0.size(); ++lane) {
-      if (owned(lane)) stage0[lane]();
+  // A later stage reads its predecessor's FULL output, so every lane runs
+  // the earlier stages (deterministic — identical in every worker) and only
+  // owned lanes run the last one.  Ledgers are reported for owned lanes
+  // only, so the merged bill equals the solo fleet sum exactly.
+  apps::StageRunner run(apps::appSpec(q.app), service::inputsOf(q));
+  for (std::size_t s = 0; s < run.stages(); ++s) {
+    auto tasks = exec->laneTasks(run.height(), run.stage(s));
+    const bool last = s + 1 == run.stages();
+    for (std::size_t lane = 0; lane < tasks.size(); ++lane) {
+      if (!last || owned(lane)) tasks[lane]();
     }
   }
+  const img::Image& output = run.output();
 
   WireReply reply;
-  reply.width = static_cast<std::uint32_t>(shape.width);
-  reply.height = static_cast<std::uint32_t>(shape.height);
+  reply.width = static_cast<std::uint32_t>(output.width());
+  reply.height = static_cast<std::uint32_t>(output.height());
 
   // One segment per owned tile (tile t is pinned to lane t % lanes, the
   // executor's schedule) clipped to the assignment's row window.
-  const std::size_t height = output->height();
+  const std::size_t height = output.height();
   const std::size_t rpt = wq.rowsPerTile;
   const std::size_t numTiles = (height + rpt - 1) / rpt;
   const std::size_t winBegin = wq.assignment.rowBegin;
@@ -143,8 +130,8 @@ WireReply ShardWorker::execute(const WireRequest& wq) {
     RowSegment s;
     s.rowBegin = static_cast<std::uint32_t>(r0);
     s.rowEnd = static_cast<std::uint32_t>(r1);
-    const std::uint8_t* base = output->pixels().data() + r0 * shape.width;
-    s.pixels.assign(base, base + (r1 - r0) * shape.width);
+    const std::uint8_t* base = output.pixels().data() + r0 * output.width();
+    s.pixels.assign(base, base + (r1 - r0) * output.width());
     reply.segments.push_back(std::move(s));
   }
 

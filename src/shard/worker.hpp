@@ -11,11 +11,11 @@
 /// l's bits depend only on lane l's seed and its ascending tile sequence —
 /// never on which other lanes run, or in which process — the rows this
 /// worker produces are byte-identical to the rows lane l produces in a solo
-/// run.  Morphology is the one cross-lane app: its dilate stage reads the
-/// FULL eroded intermediate, so the worker runs stage 0 for every lane
-/// (deterministic, identical in every worker) and stage 1 for owned lanes
-/// only; ledgers are reported for owned lanes only, so the merged bill
-/// still equals the solo fleet sum exactly.
+/// run.  A multi-stage app row (morphology) is cross-lane: a later stage
+/// reads the FULL output of the one before, so the worker runs the earlier
+/// stages for every lane (deterministic, identical in every worker) and the
+/// last stage for owned lanes only; ledgers are reported for owned lanes
+/// only, so the merged bill still equals the solo fleet sum exactly.
 ///
 /// Warm state mirrors the PR-7 daemon: a per-worker
 /// `service::FaultModelCache` memoizes Monte-Carlo misdecision tables

@@ -2,7 +2,9 @@
 // functional checks; Table IV statistics live in the bench).
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
+#include <vector>
 
 #include "apps/runner.hpp"
 #include "core/backend_bincim.hpp"
@@ -226,6 +228,77 @@ TEST(Runner, FaultsHurtBinaryCimMoreThanSc) {
   const double binDrop = binClean.ssimPct - binFaulty.ssimPct;
   EXPECT_LT(scDrop, binDrop + 1.0);
   EXPECT_LT(scDrop, 10.0);  // SC stays within a few percent
+}
+
+// --- the app table ----------------------------------------------------------
+
+TEST(AppTable, RowsAreIndexedByAppKind) {
+  for (std::size_t i = 0; i < kAppCount; ++i) {
+    const AppSpec& spec = appSpec(static_cast<AppKind>(i));
+    EXPECT_EQ(static_cast<std::size_t>(spec.kind), i);
+    EXPECT_GE(spec.stageCount(), 1u) << appName(spec.kind);
+    EXPECT_NE(spec.roles[0], nullptr) << appName(spec.kind);
+  }
+  EXPECT_EQ(appSpec(AppKind::Morphology).stageCount(), 2u);
+  EXPECT_THROW(appSpec(static_cast<AppKind>(kAppCount)), std::invalid_argument);
+}
+
+TEST(AppTable, OneTileFleetEqualsTheWholeImageKernel) {
+  // A one-lane fleet with one tile spanning the image makes each stage's
+  // single whole-image call: the serial form of every row.
+  using Whole = img::Image (*)(const AppInputs&, core::ScBackend&);
+  const Whole wholeImage[kAppCount] = {  // in AppKind order
+      [](const AppInputs& in, core::ScBackend& b) {
+        return compositeKernel(CompositingFrames(in.src, in.aux1, in.aux2), b);
+      },
+      [](const AppInputs& in, core::ScBackend& b) {
+        return upscaleKernel(in.src, in.upscaleFactor, b);
+      },
+      [](const AppInputs& in, core::ScBackend& b) {
+        return mattingKernel(MattingFrames(in.src, in.aux1, in.aux2), b);
+      },
+      [](const AppInputs& in, core::ScBackend& b) {
+        return smoothKernel(in.src, b);
+      },
+      [](const AppInputs& in, core::ScBackend& b) {
+        return gammaKernel(in.src, in.gamma, b);
+      },
+      [](const AppInputs& in, core::ScBackend& b) {
+        return openKernel(in.src, b);
+      },
+  };
+  core::SwScConfig sw;
+  sw.streamLength = 64;
+  for (std::size_t i = 0; i < kAppCount; ++i) {
+    const auto app = static_cast<AppKind>(i);
+    const AppScene scene = appSpec(app).synthesize(14, 11, 5);
+    const AppInputs in = scene.inputs(2.2, 2);
+    core::SwScBackend b(sw);
+    const img::Image whole = wholeImage[i](in, b);
+    std::vector<std::unique_ptr<core::ScBackend>> lane;
+    lane.push_back(std::make_unique<core::SwScBackend>(sw));
+    core::TileExecutor fleet(std::move(lane), core::ParallelConfig{1, 0, 64});
+    EXPECT_EQ(runStages(app, in, fleet).pixels(), whole.pixels())
+        << appName(app);
+  }
+}
+
+TEST(AppTable, OutputShapeChecksTheRowsFrames) {
+  const AppScene scene = appSpec(AppKind::Compositing).synthesize(8, 6, 1);
+  AppInputs in = scene.inputs(2.2, 2);
+  const FrameShape shape = outputShapeOf(appSpec(AppKind::Compositing), in);
+  EXPECT_EQ(shape.width, 8u);
+  EXPECT_EQ(shape.height, 6u);
+  in.aux2 = {};
+  EXPECT_THROW(outputShapeOf(appSpec(AppKind::Compositing), in),
+               std::invalid_argument);
+  in.upscaleFactor = 3;
+  const FrameShape up = outputShapeOf(appSpec(AppKind::Bilinear), in);
+  EXPECT_EQ(up.width, 24u);
+  EXPECT_EQ(up.height, 18u);
+  in.upscaleFactor = 0;
+  EXPECT_THROW(outputShapeOf(appSpec(AppKind::Bilinear), in),
+               std::invalid_argument);
 }
 
 TEST(Runner, ProfilesHaveMeasuredGateCounts) {

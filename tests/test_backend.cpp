@@ -235,6 +235,19 @@ TEST(BackendFactory, NamesAndKinds) {
 // kernels reproduce them bit for bit (ReRAM-SC at thread counts 0 and 4,
 // fault-free and faulty).
 
+/// The seed oracles ran on each lane's Accelerator.
+Accelerator& accOf(ScBackend& lane) {
+  return dynamic_cast<ReramScBackend&>(lane).accelerator();
+}
+
+/// The compositing and matting scenes as app-table inputs.
+apps::AppInputs inputsOf(const apps::CompositingScene& s) {
+  return {s.background, s.foreground, s.alpha};
+}
+apps::AppInputs inputsOf(const apps::MattingScene& s) {
+  return {s.composite, s.background, s.foreground};
+}
+
 TileExecutorConfig tileCfg(std::size_t threads, bool faults = false) {
   TileExecutorConfig cfg;
   cfg.lanes = 4;
@@ -255,8 +268,9 @@ img::Image seedCompositeReramScTiled(const apps::CompositingScene& scene,
                                      TileExecutor& exec) {
   const std::size_t w = scene.background.width();
   img::Image out(w, scene.background.height());
-  exec.forEachTile(out.height(), [&](Accelerator& acc, std::size_t r0,
-                                     std::size_t r1) {
+  exec.forEachTile(out.height(), [&](ScBackend& lane, StreamArena&,
+                                     std::size_t r0, std::size_t r1) {
+    Accelerator& acc = accOf(lane);
     std::vector<std::uint8_t> frow(w);
     std::vector<std::uint8_t> brow(w);
     std::vector<std::uint8_t> arow(w);
@@ -281,8 +295,9 @@ img::Image seedMattingReramScTiled(const apps::MattingScene& scene,
                                    TileExecutor& exec) {
   const std::size_t w = scene.composite.width();
   img::Image out(w, scene.composite.height());
-  exec.forEachTile(out.height(), [&](Accelerator& acc, std::size_t r0,
-                                     std::size_t r1) {
+  exec.forEachTile(out.height(), [&](ScBackend& lane, StreamArena&,
+                                     std::size_t r0, std::size_t r1) {
+    Accelerator& acc = accOf(lane);
     std::vector<std::uint8_t> irow(w);
     std::vector<std::uint8_t> brow(w);
     std::vector<std::uint8_t> frow(w);
@@ -310,7 +325,9 @@ img::Image seedUpscaleReramScTiled(const img::Image& src, std::size_t factor,
   const std::size_t W = src.width() * factor;
   const std::size_t H = src.height() * factor;
   img::Image out(W, H);
-  exec.forEachTile(H, [&](Accelerator& acc, std::size_t r0, std::size_t r1) {
+  exec.forEachTile(H, [&](ScBackend& lane, StreamArena&, std::size_t r0,
+                          std::size_t r1) {
+    Accelerator& acc = accOf(lane);
     std::vector<std::uint8_t> data(4 * W);
     std::vector<std::uint8_t> dxRow(W);
     for (std::size_t Y = r0; Y < r1; ++Y) {
@@ -341,7 +358,8 @@ TEST(BackendEquivalence, CompositingTiledBitIdenticalToSeedPath) {
     TileExecutor seedExec(tileCfg(threads));
     TileExecutor newExec(tileCfg(threads));
     const img::Image seed = seedCompositeReramScTiled(scene, seedExec);
-    const img::Image out = apps::compositeKernelTiled(scene, newExec);
+    const img::Image out =
+        apps::runStages(apps::AppKind::Compositing, inputsOf(scene), newExec);
     EXPECT_EQ(out.pixels(), seed.pixels()) << "threads=" << threads;
     EXPECT_EQ(newExec.totalEvents(), seedExec.totalEvents());
   }
@@ -352,7 +370,8 @@ TEST(BackendEquivalence, CompositingTiledBitIdenticalUnderFaults) {
   TileExecutor seedExec(tileCfg(0, /*faults=*/true));
   TileExecutor newExec(tileCfg(0, /*faults=*/true));
   const img::Image seed = seedCompositeReramScTiled(scene, seedExec);
-  const img::Image out = apps::compositeKernelTiled(scene, newExec);
+  const img::Image out =
+      apps::runStages(apps::AppKind::Compositing, inputsOf(scene), newExec);
   EXPECT_EQ(out.pixels(), seed.pixels());
   EXPECT_EQ(newExec.totalEvents(), seedExec.totalEvents());
 }
@@ -363,7 +382,8 @@ TEST(BackendEquivalence, MattingTiledBitIdenticalToSeedPath) {
     TileExecutor seedExec(tileCfg(threads));
     TileExecutor newExec(tileCfg(threads));
     const img::Image seed = seedMattingReramScTiled(scene, seedExec);
-    const img::Image out = apps::mattingKernelTiled(scene, newExec);
+    const img::Image out =
+        apps::runStages(apps::AppKind::Matting, inputsOf(scene), newExec);
     EXPECT_EQ(out.pixels(), seed.pixels()) << "threads=" << threads;
     EXPECT_EQ(newExec.totalEvents(), seedExec.totalEvents());
   }
@@ -375,7 +395,8 @@ TEST(BackendEquivalence, BilinearTiledBitIdenticalToSeedPath) {
     TileExecutor seedExec(tileCfg(threads));
     TileExecutor newExec(tileCfg(threads));
     const img::Image seed = seedUpscaleReramScTiled(src, 2, seedExec);
-    const img::Image out = apps::upscaleKernelTiled(src, 2, newExec);
+    const img::Image out = apps::runStages(
+        apps::AppKind::Bilinear, {.src = src, .upscaleFactor = 2}, newExec);
     EXPECT_EQ(out.pixels(), seed.pixels()) << "threads=" << threads;
     EXPECT_EQ(newExec.totalEvents(), seedExec.totalEvents());
   }
@@ -524,7 +545,8 @@ TEST(TileExecutorBackend, ReferenceLaneFleetMatchesSerialReference) {
   par.rowsPerTile = 3;
   TileExecutor exec(std::move(lanes), par);
   EXPECT_EQ(exec.lanes(), 3u);
-  const img::Image out = apps::compositeKernelTiled(scene, exec);
+  const img::Image out =
+      apps::runStages(apps::AppKind::Compositing, inputsOf(scene), exec);
   EXPECT_EQ(out.pixels(), apps::compositeReference(scene).pixels());
   // Accelerator-level access is a ReRAM-fleet feature.
   EXPECT_THROW(exec.lane(0), std::logic_error);

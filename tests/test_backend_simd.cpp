@@ -439,8 +439,10 @@ TEST(SwScSimdBackend, TiledLaneFleetBitIdenticalToScalarFleet) {
       core::makeBackendLanes(DesignKind::SwScSimd, cfg, 3), par);
   core::TileExecutor scalarExec(
       core::makeBackendLanes(DesignKind::SwScLfsr, cfg, 3), par);
-  EXPECT_EQ(apps::compositeKernelTiled(scene, simdExec).pixels(),
-            apps::compositeKernelTiled(scene, scalarExec).pixels());
+  const apps::AppInputs in{scene.background, scene.foreground, scene.alpha};
+  EXPECT_EQ(apps::runStages(apps::AppKind::Compositing, in, simdExec).pixels(),
+            apps::runStages(apps::AppKind::Compositing, in, scalarExec)
+                .pixels());
 }
 
 }  // namespace

@@ -170,7 +170,7 @@ TEST(MorphologyTiled, ThreadCountInvariantIncludingCompositions) {
     cfg.mat.streamLength = 128;
     cfg.mat.device = reram::DeviceParams::ideal();
     core::TileExecutor exec(cfg);
-    return openKernelTiled(src, exec);
+    return runStages(AppKind::Morphology, {.src = src}, exec);
   };
   const img::Image at0 = run(0);
   EXPECT_EQ(run(2).pixels(), at0.pixels());

@@ -245,6 +245,17 @@ TEST(ShardWire, EverySingleBitFlipIsRejected) {
   }
 }
 
+TEST(ShardWire, FirstOutOfRangeAppByteIsRejected) {
+  // The decoder bounds the app byte by the app table: the last row decodes,
+  // the first byte past it is refused.
+  std::mt19937_64 rng(0x5eed0006);
+  WireRequest wq = randomRequest(rng);
+  wq.app = static_cast<apps::AppKind>(apps::kAppCount - 1);
+  EXPECT_EQ(shard::decodeRequest(shard::encodeRequest(wq)).app, wq.app);
+  wq.app = static_cast<apps::AppKind>(apps::kAppCount);
+  EXPECT_THROW(shard::decodeRequest(shard::encodeRequest(wq)), DecodeError);
+}
+
 TEST(ShardWire, ChecksumIsFnv1a64) {
   // Spot-check the checksum primitive against the published FNV-1a test
   // vectors so the wire format stays interoperable.

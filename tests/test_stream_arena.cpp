@@ -7,10 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cctype>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <string>
+#include <tuple>
 #include <vector>
 
+#include "apps/app_spec.hpp"
 #include "apps/compositing.hpp"
 #include "apps/filters.hpp"
 #include "apps/runner.hpp"
@@ -168,7 +173,12 @@ TEST(AllocationRegression, FaultyReramCompositingRowsAreAllocationFree) {
                         reram::SlOp::Maj3, reram::SlOp::Not}) {
     for (int rows = 1; rows <= 3; ++rows) table.worstCase(op, rows);
   }
-  ac.sharedFaultModel = &table;
+  // The provider hands out the prebuilt table without owning it.
+  ac.faultModelProvider = [&table](const reram::DeviceParams&, std::uint64_t,
+                                   std::size_t) {
+    return std::shared_ptr<const reram::FaultModel>(std::shared_ptr<void>(),
+                                                    &table);
+  };
   const apps::CompositingScene scene = apps::makeCompositingScene(24, 8, 17);
   ReramScBackend b(ac);
   StreamArena arena;
@@ -211,6 +221,57 @@ TEST(AllocationRegression, SwScSmoothingRowsAreAllocationFree) {
   EXPECT_EQ(gAllocCount.load() - before, 0u);
 }
 
+// --- the app table's stage kernels -------------------------------------------
+
+using AppDesign = std::tuple<apps::AppKind, DesignKind>;
+
+std::vector<AppDesign> appStageCases() {
+  std::vector<AppDesign> cases;
+  for (std::size_t a = 0; a < apps::kAppCount; ++a) {
+    for (const DesignKind d : {DesignKind::SwScLfsr, DesignKind::SwScSimd,
+                               DesignKind::BinaryCim, DesignKind::ReramSc}) {
+      cases.emplace_back(static_cast<apps::AppKind>(a), d);
+    }
+  }
+  return cases;
+}
+
+class AppStageRows : public ::testing::TestWithParam<AppDesign> {};
+
+TEST_P(AppStageRows, AllocationFreeAfterWarmupTile) {
+  // Every stage of the row, bound exactly as the lane fleets bind it: a
+  // warm-up tile populates the arena and the backend scratch, then a second
+  // tile of the same stage must not touch the heap.
+  const auto [app, design] = GetParam();
+  const apps::AppSpec& spec = apps::appSpec(app);
+  const apps::AppScene scene = spec.synthesize(12, 10, 21);
+  BackendFactoryConfig bc;
+  bc.streamLength = 128;
+  const auto b = makeBackend(design, bc);
+  apps::StageRunner run(spec, scene.inputs(2.2, 2));
+  for (std::size_t s = 0; s < run.stages(); ++s) {
+    const apps::StageKernel kernel = run.stage(s);
+    StreamArena arena;
+    kernel(*b, arena, 0, 2);
+    arena.reset();
+    const std::uint64_t before = gAllocCount.load();
+    kernel(*b, arena, 2, 4);
+    EXPECT_EQ(gAllocCount.load() - before, 0u) << "stage " << s;
+  }
+  EXPECT_TRUE(b->opCount() > 0 || b->events() != reram::EventCounts{});
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllocationRegression, AppStageRows, ::testing::ValuesIn(appStageCases()),
+    [](const ::testing::TestParamInfo<AppDesign>& info) {
+      std::string name = apps::appSpec(std::get<0>(info.param)).alias;
+      name += std::string("_") + designKindName(std::get<1>(info.param));
+      for (char& c : name) {
+        if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
+      }
+      return name;
+    });
+
 TEST(AllocationRegression, ColdFaultTableBuildsAreAllocationFree) {
   // Building every 1..3-row misdecision entry cold: the Monte-Carlo
   // kernel's scratch is a fixed stack block and the slot table is inline.
@@ -237,8 +298,9 @@ TEST(ArenaDeterminism, SameSeedTwoTiledRunsIdenticalPixelsAndLedgers) {
 
   TileExecutor first(cfg);
   TileExecutor second(cfg);
-  const img::Image a = apps::compositeKernelTiled(scene, first);
-  const img::Image b = apps::compositeKernelTiled(scene, second);
+  const apps::AppInputs in{scene.background, scene.foreground, scene.alpha};
+  const img::Image a = apps::runStages(apps::AppKind::Compositing, in, first);
+  const img::Image b = apps::runStages(apps::AppKind::Compositing, in, second);
   EXPECT_EQ(a.pixels(), b.pixels());
   EXPECT_EQ(first.totalEvents(), second.totalEvents());
 }

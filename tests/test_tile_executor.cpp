@@ -31,6 +31,20 @@ TileExecutorConfig idealTileConfig(std::size_t lanes, std::size_t threads,
   return cfg;
 }
 
+apps::AppInputs inputsOf(const apps::CompositingScene& s) {
+  return {s.background, s.foreground, s.alpha};
+}
+
+/// Edge detection is not an app row: its rows kernel straight on the fleet.
+img::Image edgeTiled(const img::Image& src, TileExecutor& exec) {
+  img::Image out(src.width(), src.height(), 0);
+  exec.forEachTile(src.height(), [&](ScBackend& lane, StreamArena& arena,
+                                     std::size_t r0, std::size_t r1) {
+    apps::edgeKernelRows(src, lane, arena, out, r0, r1);
+  });
+  return out;
+}
+
 // --- ThreadPool ------------------------------------------------------------
 
 TEST(ThreadPool, InlinePoolRunsTasksOnSubmit) {
@@ -78,7 +92,8 @@ TEST(TileExecutor, CoversEveryRowExactlyOnce) {
   TileExecutor exec(idealTileConfig(3, 2, 4));
   const std::size_t height = 29;  // not a multiple of rowsPerTile
   std::vector<std::atomic<int>> visits(height);
-  exec.forEachTile(height, [&](Accelerator&, std::size_t r0, std::size_t r1) {
+  exec.forEachTile(height, [&](ScBackend&, StreamArena&, std::size_t r0,
+                               std::size_t r1) {
     EXPECT_LT(r0, r1);
     for (std::size_t y = r0; y < r1; ++y) ++visits[y];
   });
@@ -90,10 +105,11 @@ TEST(TileExecutor, TilePinningIsThreadCountInvariant) {
   auto pinning = [](std::size_t threads) {
     TileExecutor exec(idealTileConfig(4, threads, 2));
     std::vector<int> laneOfRow(32, -1);
-    exec.forEachTile(32, [&](Accelerator& lane, std::size_t r0, std::size_t r1) {
+    exec.forEachTile(32, [&](ScBackend& lane, StreamArena&, std::size_t r0,
+                             std::size_t r1) {
       std::ptrdiff_t idx = -1;
       for (std::size_t i = 0; i < exec.lanes(); ++i) {
-        if (&exec.lane(i) == &lane) idx = static_cast<std::ptrdiff_t>(i);
+        if (&exec.backend(i) == &lane) idx = static_cast<std::ptrdiff_t>(i);
       }
       for (std::size_t y = r0; y < r1; ++y) {
         laneOfRow[y] = static_cast<int>(idx);
@@ -107,7 +123,8 @@ TEST(TileExecutor, TilePinningIsThreadCountInvariant) {
 TEST(TileExecutor, KernelExceptionPropagates) {
   TileExecutor exec(idealTileConfig(2, 2));
   EXPECT_THROW(exec.forEachTile(8,
-                                [](Accelerator&, std::size_t, std::size_t) {
+                                [](ScBackend&, StreamArena&, std::size_t,
+                                   std::size_t) {
                                   throw std::runtime_error("kernel");
                                 }),
                std::runtime_error);
@@ -132,7 +149,8 @@ TEST(TileExecutor, CompositingBitIdenticalAt1And2And8Threads) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                     std::size_t{8}}) {
     TileExecutor exec(idealTileConfig(4, threads));
-    const img::Image out = apps::compositeKernelTiled(scene, exec);
+    const img::Image out =
+        apps::runStages(apps::AppKind::Compositing, inputsOf(scene), exec);
     const reram::EventCounts events = exec.totalEvents();
     if (first) {
       ref = out;
@@ -161,7 +179,9 @@ TEST(TileExecutor, TiledCompositingMatchesSerialQualityClass) {
 
   TileExecutor exec(idealTileConfig(4, 2));
   const double psnrTiled =
-      img::psnrDb(apps::compositeKernelTiled(scene, exec), ref);
+      img::psnrDb(
+          apps::runStages(apps::AppKind::Compositing, inputsOf(scene), exec),
+          ref);
   EXPECT_NEAR(psnrTiled, psnrSerial, 3.0);
 }
 
@@ -245,8 +265,9 @@ TEST(TileExecutor, TiledFiltersDeterministicAndInQualityClass) {
     for (const std::size_t threads : {std::size_t{0}, std::size_t{2},
                                       std::size_t{8}}) {
       TileExecutor exec(idealTileConfig(4, threads));
-      const img::Image out = smooth ? apps::smoothKernelTiled(src, exec)
-                                    : apps::edgeKernelTiled(src, exec);
+      const img::Image out = smooth ? apps::runStages(apps::AppKind::Filters,
+                                                      {.src = src}, exec)
+                                    : edgeTiled(src, exec);
       if (first) {
         ref = out;
         refEvents = exec.totalEvents();
@@ -311,7 +332,7 @@ TEST(TileExecutor, EncodeBatchFaultyFidelityFallsBackFaithfully) {
 TEST(TileExecutor, EventMergeEqualsLaneSum) {
   TileExecutor exec(idealTileConfig(3, 2));
   const apps::CompositingScene scene = apps::makeCompositingScene(12, 12, 9);
-  apps::compositeKernelTiled(scene, exec);
+  apps::runStages(apps::AppKind::Compositing, inputsOf(scene), exec);
   reram::EventCounts sum;
   for (std::size_t i = 0; i < exec.lanes(); ++i) {
     sum += exec.lane(i).events();
