@@ -312,37 +312,53 @@ void AcceleratorService::executeBatchSharded(
     stats_.deadShards = fs.deadShards;
     stats_.reassignedDispatches = coordinator_->reassignedDispatches();
   };
-  for (auto& p : batch) {
-    const Request& q = p->request;
-    RequestResult res;
-    try {
-      std::uint64_t ns = 0;
+  std::vector<shard::ShardCoordinator::BatchItem> items;
+  items.reserve(batch.size());
+  {
+    std::lock_guard<std::mutex> lock(statsMutex_);
+    for (const auto& p : batch) {
+      const auto it = ledgers_.find(p->tenant);
+      items.push_back({&p->request, p->tenant,
+                       it == ledgers_.end() ? 0 : it->second.seedNamespace,
+                       p->effectiveSeed});
+    }
+  }
+  // One pipelined fan-out for the whole batch; each ticket resolves the
+  // moment its request is merged and voted, not at the end of the batch.
+  const auto resolve = [&](std::size_t i, const RequestResult& result,
+                           const std::string& error) {
+    Pending& p = *batch[i];
+    if (!error.empty()) {
       {
         std::lock_guard<std::mutex> lock(statsMutex_);
-        const auto it = ledgers_.find(p->tenant);
-        if (it != ledgers_.end()) ns = it->second.seedNamespace;
+        snapshotFabricLocked();
       }
-      res = coordinator_->runReplicated(p->tenant, q, ns, p->effectiveSeed);
-      res.queueMicros = microsSince(p->submitTime, batchStart);
-      res.execMicros = microsSince(batchStart, Clock::now());
-      res.batchSize = batch.size();
-
-      const OutputShape shape = outputShapeFor(q);
+      finish(p, error);
+      return;
+    }
+    RequestResult res = result;
+    res.queueMicros = microsSince(p.submitTime, batchStart);
+    res.execMicros = microsSince(batchStart, Clock::now());
+    res.batchSize = batch.size();
+    {
+      const OutputShape shape = outputShapeFor(p.request);
       std::lock_guard<std::mutex> lock(statsMutex_);
-      billLocked(p->tenant, shape.width * shape.height,
-                 std::max<std::size_t>(q.redundancy.replicas, 1), res);
+      billLocked(p.tenant, shape.width * shape.height,
+                 std::max<std::size_t>(p.request.redundancy.replicas, 1), res);
       if (res.degraded) ++stats_.degradedRequests;
       snapshotFabricLocked();
       ++served;
-    } catch (const std::exception& e) {
-      {
-        std::lock_guard<std::mutex> slock(statsMutex_);
-        snapshotFabricLocked();
-      }
-      finish(*p, e.what());
-      continue;
     }
-    finish(*p, {}, res);
+    finish(p, {}, res);
+  };
+  try {
+    coordinator_->runBatch(items, resolve);
+  } catch (const std::exception& e) {
+    for (auto& p : batch) {
+      if (!p->done) {
+        finish(*p, std::string("batch execution failed: ") + e.what());
+      }
+    }
   }
 
   std::lock_guard<std::mutex> lock(statsMutex_);

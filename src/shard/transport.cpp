@@ -7,6 +7,7 @@
 #include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -73,21 +74,6 @@ bool readFully(int fd, std::uint8_t* buf, std::size_t n) {
   return true;
 }
 
-bool writeFully(int fd, const std::uint8_t* buf, std::size_t n) {
-  std::size_t sent = 0;
-  while (sent < n) {
-    // MSG_NOSIGNAL: a dead peer yields EPIPE here instead of killing the
-    // process with SIGPIPE — the caller turns it into an error ticket.
-    const ssize_t r = ::send(fd, buf + sent, n - sent, MSG_NOSIGNAL);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    sent += static_cast<std::size_t>(r);
-  }
-  return true;
-}
-
 /// Deadline-bounded reads: poll for readability against the shared frame
 /// deadline before every recv, so a wedged peer costs at most the budget.
 IoResult readFullyWithin(int fd, std::uint8_t* buf, std::size_t n,
@@ -112,28 +98,6 @@ IoResult readFullyWithin(int fd, std::uint8_t* buf, std::size_t n,
   return IoResult::Ok;
 }
 
-IoResult writeFullyWithin(int fd, const std::uint8_t* buf, std::size_t n,
-                          SteadyClock::time_point deadline) {
-  std::size_t sent = 0;
-  while (sent < n) {
-    if (SteadyClock::now() >= deadline) return IoResult::Timeout;
-    struct pollfd p = {fd, POLLOUT, 0};
-    const int pr = ::poll(&p, 1, pollBudgetMs(deadline));
-    if (pr == 0) return IoResult::Timeout;
-    if (pr < 0) {
-      if (errno == EINTR) continue;
-      return IoResult::Closed;
-    }
-    const ssize_t r = ::send(fd, buf + sent, n - sent, MSG_NOSIGNAL);
-    if (r < 0) {
-      if (errno == EINTR || errno == EAGAIN) continue;
-      return IoResult::Closed;
-    }
-    sent += static_cast<std::size_t>(r);
-  }
-  return IoResult::Ok;
-}
-
 void encodeLen(std::uint32_t n, std::uint8_t len[4]) {
   for (int i = 0; i < 4; ++i) len[i] = (n >> (8 * i)) & 0xff;
 }
@@ -142,6 +106,53 @@ std::uint32_t decodeLen(const std::uint8_t len[4]) {
   std::uint32_t n = 0;
   for (int i = 0; i < 4; ++i) n |= static_cast<std::uint32_t>(len[i]) << (8 * i);
   return n;
+}
+
+/// Writes the length prefix and \p frame with ONE sendmsg over two iovecs
+/// (no copy), so the peer wakes once per frame instead of once for the
+/// header and again for the body; short writes resume mid-iovec.  With a
+/// \p deadline every write first polls for room against it; without one
+/// the socket blocks.  MSG_NOSIGNAL: a dead peer yields EPIPE here instead
+/// of killing the process with SIGPIPE — the caller turns it into an error.
+IoResult sendFrame(int fd, std::span<const std::uint8_t> frame,
+                   const SteadyClock::time_point* deadline) {
+  if (frame.size() > kMaxFrameBytes) return IoResult::Closed;
+  std::uint8_t len[4];
+  encodeLen(static_cast<std::uint32_t>(frame.size()), len);
+  iovec iov[2] = {{len, sizeof(len)},
+                  {const_cast<std::uint8_t*>(frame.data()), frame.size()}};
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = frame.empty() ? 1 : 2;
+  while (msg.msg_iovlen > 0) {
+    if (deadline != nullptr) {
+      if (SteadyClock::now() >= *deadline) return IoResult::Timeout;
+      struct pollfd p = {fd, POLLOUT, 0};
+      const int pr = ::poll(&p, 1, pollBudgetMs(*deadline));
+      if (pr == 0) return IoResult::Timeout;
+      if (pr < 0) {
+        if (errno == EINTR) continue;
+        return IoResult::Closed;
+      }
+    }
+    const ssize_t r = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    if (r < 0) {
+      if (errno == EINTR || errno == EAGAIN) continue;
+      return IoResult::Closed;
+    }
+    auto sent = static_cast<std::size_t>(r);
+    while (msg.msg_iovlen > 0 && sent >= msg.msg_iov->iov_len) {
+      sent -= msg.msg_iov->iov_len;
+      ++msg.msg_iov;
+      --msg.msg_iovlen;
+    }
+    if (msg.msg_iovlen > 0) {
+      iovec& part = *msg.msg_iov;
+      part.iov_base = static_cast<std::uint8_t*>(part.iov_base) + sent;
+      part.iov_len -= sent;
+    }
+  }
+  return IoResult::Ok;
 }
 
 /// Connects \p fd (blocking socket) within \p budget via the non-blocking
@@ -188,11 +199,7 @@ bool readFrame(int fd, std::vector<std::uint8_t>& frame) {
 }
 
 bool writeFrame(int fd, std::span<const std::uint8_t> frame) {
-  if (frame.size() > kMaxFrameBytes) return false;
-  std::uint8_t len[4];
-  encodeLen(static_cast<std::uint32_t>(frame.size()), len);
-  return writeFully(fd, len, sizeof(len)) &&
-         (frame.empty() || writeFully(fd, frame.data(), frame.size()));
+  return sendFrame(fd, frame, nullptr) == IoResult::Ok;
 }
 
 IoResult readFrameWithin(int fd, std::vector<std::uint8_t>& frame,
@@ -212,18 +219,9 @@ IoResult readFrameWithin(int fd, std::vector<std::uint8_t>& frame,
 
 IoResult writeFrameWithin(int fd, std::span<const std::uint8_t> frame,
                           std::chrono::milliseconds deadline) {
-  if (deadline.count() <= 0) {
-    return writeFrame(fd, frame) ? IoResult::Ok : IoResult::Closed;
-  }
-  if (frame.size() > kMaxFrameBytes) return IoResult::Closed;
+  if (deadline.count() <= 0) return sendFrame(fd, frame, nullptr);
   const auto limit = SteadyClock::now() + deadline;
-  std::uint8_t len[4];
-  encodeLen(static_cast<std::uint32_t>(frame.size()), len);
-  IoResult r = writeFullyWithin(fd, len, sizeof(len), limit);
-  if (r != IoResult::Ok) return r;
-  return frame.empty()
-             ? IoResult::Ok
-             : writeFullyWithin(fd, frame.data(), frame.size(), limit);
+  return sendFrame(fd, frame, &limit);
 }
 
 struct LoopbackChannel::Impl {

@@ -192,7 +192,9 @@ std::vector<std::unique_ptr<ShardChannel>> makeShardChannels(
 /// Low-level u32-length-framed I/O over a POSIX fd — the worker side of the
 /// transports (shardWorkerMain's read/write loop).  readFrame returns false
 /// on EOF, an oversized length, or a short read; writeFrame returns false
-/// when the peer is gone (SIGPIPE is suppressed).
+/// when the peer is gone (SIGPIPE is suppressed).  Both write forms send
+/// the length prefix and the body in one sendmsg, so a frame wakes its
+/// reader once.
 bool readFrame(int fd, std::vector<std::uint8_t>& frame);
 bool writeFrame(int fd, std::span<const std::uint8_t> frame);
 

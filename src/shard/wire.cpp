@@ -450,6 +450,16 @@ std::vector<std::uint8_t> encodeReply(const WireReply& reply) {
   return w.finish();
 }
 
+std::size_t resultReplyBytes(std::uint32_t width, std::size_t rows,
+                             std::size_t segments, std::size_t lanes) {
+  // magic, version, kind, status; width, height, segment count; per
+  // segment its row bounds; the pixels; lane count; per lane its index,
+  // op count and seven event counters; the checksum.
+  constexpr std::size_t kLaneStatsBytes = 4 + 8 + 7 * 8;
+  return 4 + 2 + 1 + 1 + 3 * 4 + segments * 8 + rows * width + 4 +
+         lanes * kLaneStatsBytes + 8;
+}
+
 WireReply decodeReply(std::span<const std::uint8_t> bytes) {
   WireReader r(checksummedPayload(bytes));
   if (r.u32() != kReplyMagic) throw DecodeError("wire: bad reply magic");

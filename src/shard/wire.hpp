@@ -223,6 +223,12 @@ std::vector<std::uint8_t> encodeReply(const WireReply& r);
 /// Parses and validates a reply frame (same guarantees as decodeRequest).
 WireReply decodeReply(std::span<const std::uint8_t> bytes);
 
+/// Exact encoded size of an ok Result reply with \p segments row segments
+/// of \p width-pixel rows, \p rows rows in total, and \p lanes lane
+/// ledgers (the reply term of the coordinator's per-shard send window).
+std::size_t resultReplyBytes(std::uint32_t width, std::size_t rows,
+                             std::size_t segments, std::size_t lanes);
+
 /// FNV-1a 64 over \p bytes — the frame checksum (also exposed for tests).
 std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes);
 

@@ -11,6 +11,8 @@
 
 #include <algorithm>
 #include <random>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "apps/runner.hpp"
@@ -254,6 +256,32 @@ TEST(ShardWire, FirstOutOfRangeAppByteIsRejected) {
   EXPECT_EQ(shard::decodeRequest(shard::encodeRequest(wq)).app, wq.app);
   wq.app = static_cast<apps::AppKind>(apps::kAppCount);
   EXPECT_THROW(shard::decodeRequest(shard::encodeRequest(wq)), DecodeError);
+}
+
+TEST(ShardWire, ResultReplyBytesMatchesTheEncoder) {
+  // The coordinator sizes its send window with resultReplyBytes; it must
+  // be the exact encoded size of a real worker reply.
+  ClientJob job = makeJob(apps::AppKind::Bilinear, core::DesignKind::SwScLfsr,
+                          10, 3);
+  for (const std::uint32_t stride : {1u, 2u, 3u}) {
+    TileAssignment assignment;
+    assignment.laneSeedBase = 3;
+    assignment.laneStride = stride;
+    assignment.rowEnd = 20;
+    shard::ShardWorker worker;
+    const std::vector<std::uint8_t> bytes = worker.serve(shard::encodeRequest(
+        shard::makeWireRequest(job.request, 1, 0, 3, 4, 3, assignment)));
+    const WireReply reply = shard::decodeReply(bytes);
+    ASSERT_TRUE(reply.ok) << reply.error;
+    std::size_t rows = 0;
+    for (const shard::RowSegment& seg : reply.segments) {
+      rows += seg.rowEnd - seg.rowBegin;
+    }
+    EXPECT_EQ(shard::resultReplyBytes(reply.width, rows, reply.segments.size(),
+                                      reply.laneStats.size()),
+              bytes.size())
+        << "stride " << stride;
+  }
 }
 
 TEST(ShardWire, ChecksumIsFnv1a64) {
@@ -536,6 +564,285 @@ TEST(ShardFailure, ServiceSurvivesWorkerCrashAndReportsOutcomes) {
   EXPECT_TRUE(outcome.error.empty());
   EXPECT_EQ(job.out.pixels(), healthy);
   EXPECT_GE(svc.stats().shardRespawns, 1u);
+  svc.shutdown();
+}
+
+/// Forwards to a real channel until it has delivered \p replies replies,
+/// then SIGKILLs the worker and fails every later receive: a worker dying
+/// at a known point of a batch.
+class DyingChannel final : public shard::ShardChannel {
+ public:
+  DyingChannel(std::unique_ptr<shard::ShardChannel> inner, std::size_t replies)
+      : inner_(std::move(inner)), replies_(replies) {}
+
+  void send(std::span<const std::uint8_t> frame) override {
+    inner_->send(frame);
+  }
+  std::vector<std::uint8_t> receive() override {
+    if (replies_ == 0) {
+      inner_->terminate();
+      throw std::runtime_error("DyingChannel: worker killed");
+    }
+    --replies_;
+    return inner_->receive();
+  }
+  void terminate() override { inner_->terminate(); }
+  int workerPid() const override { return inner_->workerPid(); }
+  bool healthy() const override { return inner_->healthy(); }
+
+ private:
+  std::unique_ptr<shard::ShardChannel> inner_;
+  std::size_t replies_;
+};
+
+/// Runs \p jobs as one pipelined batch; returns each item's error ("" on
+/// success) and result.
+struct BatchOutcome {
+  std::vector<std::string> errors;
+  std::vector<service::RequestResult> results;
+};
+BatchOutcome runBatch(ShardCoordinator& coord, std::vector<ClientJob>& jobs) {
+  std::vector<ShardCoordinator::BatchItem> items;
+  for (ClientJob& job : jobs) {
+    items.push_back({&job.request, 1, 0, job.request.seed});
+  }
+  BatchOutcome out;
+  out.errors.assign(jobs.size(), "unresolved");
+  out.results.resize(jobs.size());
+  coord.runBatch(items, [&](std::size_t i, const service::RequestResult& res,
+                            const std::string& error) {
+    out.errors[i] = error;
+    out.results[i] = res;
+  });
+  return out;
+}
+
+TEST(ShardFailure, FactorylessTimeoutDegradesInsteadOfPairingALateReply) {
+  // Without a respawn factory a recv timeout leaves the stream position
+  // unknown: the late reply to request A is still coming.  Retrying in
+  // place would resend A, and request B would then read A's second answer.
+  // The shard must die instead, and both requests degrade onto shard 1.
+  // The retry policy is patient on purpose: a retry would live long
+  // enough to receive the late reply.
+  const std::size_t size = 96;
+  ClientJob a = makeJob(apps::AppKind::Gamma, core::DesignKind::SwScLfsr,
+                        size, 11);
+  ClientJob b = makeJob(apps::AppKind::Gamma, core::DesignKind::SwScLfsr,
+                        size, 22);
+  a.request.streamLength = 256;
+  b.request.streamLength = 256;
+  const apps::RunResult oracleA = oracleRun(a, size);
+  const apps::RunResult oracleB = oracleRun(b, size);
+  ASSERT_NE(oracleA.output.pixels(), oracleB.output.pixels());
+
+  shard::ChannelDeadlines hasty;
+  hasty.recv = std::chrono::milliseconds(2);  // below one frame's work
+  std::vector<std::unique_ptr<shard::ShardChannel>> channels;
+  channels.push_back(std::make_unique<shard::SubprocessChannel>(hasty));
+  channels.push_back(std::make_unique<shard::SubprocessChannel>());
+  shard::RetryPolicy patient;
+  patient.maxAttempts = 12;
+  patient.initialBackoff = std::chrono::milliseconds(20);
+  patient.maxBackoff = std::chrono::milliseconds(200);
+  ShardCoordinator coord(
+      std::make_unique<shard::ShardSupervisor>(
+          std::move(channels), shard::ShardSupervisor::ChannelFactory{},
+          patient),
+      4, 4);
+
+  const service::RequestResult resA =
+      coord.runReplicated(1, a.request, 0, a.request.seed);
+  EXPECT_EQ(a.out.pixels(), oracleA.output.pixels());
+  EXPECT_TRUE(resA.degraded);
+  const service::RequestResult resB =
+      coord.runReplicated(1, b.request, 0, b.request.seed);
+  EXPECT_EQ(b.out.pixels(), oracleB.output.pixels());
+  EXPECT_NE(b.out.pixels(), oracleA.output.pixels());
+  EXPECT_TRUE(resB.degraded);
+  EXPECT_EQ(resB.opCount, oracleB.opCount);
+  EXPECT_TRUE(coord.fabric().dead(0));
+  EXPECT_FALSE(coord.fabric().dead(1));
+  EXPECT_GE(coord.fabric().stats().timeouts, 1u);
+  EXPECT_EQ(coord.fabric().stats().retries, 0u);
+}
+
+TEST(ShardFailure, ShardKilledMidBatchDegradesOnlyTheRequestsItOrphaned) {
+  // Shard 0's worker dies after answering two frames.  Requests 0 and 1
+  // were fully answered and read Ok; the frames of requests 2 and 3 on
+  // shard 0 re-dispatch to shard 1, so exactly those read degraded.  All
+  // bytes equal the oracle.
+  const std::size_t size = 12;
+  std::vector<ClientJob> jobs;
+  std::vector<apps::RunResult> oracles;
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    jobs.push_back(makeJob(apps::AppKind::Gamma, core::DesignKind::SwScLfsr,
+                           size, 40 + i));
+    oracles.push_back(oracleRun(jobs.back(), size));
+  }
+  auto raw = shard::makeShardChannels(ShardTransportKind::Subprocess, 2);
+  raw[0] = std::make_unique<DyingChannel>(std::move(raw[0]), 2);
+  ShardCoordinator coord(std::move(raw), 4, 4);
+
+  const BatchOutcome out = runBatch(coord, jobs);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_EQ(out.errors[i], "") << "request " << i;
+    EXPECT_EQ(jobs[i].out.pixels(), oracles[i].output.pixels())
+        << "request " << i;
+    EXPECT_EQ(out.results[i].opCount, oracles[i].opCount) << "request " << i;
+    EXPECT_EQ(out.results[i].degraded, i >= 2) << "request " << i;
+  }
+  EXPECT_TRUE(coord.fabric().dead(0));
+  EXPECT_EQ(coord.reassignedDispatches(), 2u);
+  EXPECT_EQ(coord.degradedReplicas(), 2u);
+}
+
+TEST(ShardPipeline, WindowOverflowBatchNeedsNoTimeoutOrRetry) {
+  // 8 requests x 3 replicas at 128x128 on 2 shards: 24 frames of ~16.6 KB
+  // per shard, far more than one window holds.  The window keeps both
+  // directions below the channel buffers, so the batch finishes without a
+  // single deadline expiry or retry, over socketpairs and over TCP.
+  const std::size_t size = 128;
+  std::vector<ClientJob> jobs;
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    jobs.push_back(makeJob(apps::AppKind::Gamma, core::DesignKind::SwScLfsr,
+                           size, 60 + i, /*replicas=*/3));
+    jobs.back().request.streamLength = 16;
+  }
+  std::vector<std::vector<std::uint8_t>> expected;
+  for (ClientJob& job : jobs) {
+    expected.push_back(oracleRun(job, size).output.pixels());
+  }
+  TileAssignment a;
+  a.laneStride = 2;
+  a.rowEnd = size;
+  const std::size_t frameBytes =
+      shard::encodeRequest(shard::makeWireRequest(jobs[0].request, 1, 0, 1,
+                                                  4, 4, a))
+          .size();
+  ASSERT_GT(frameBytes, 16000u);
+
+  for (const ShardTransportKind kind :
+       {ShardTransportKind::Subprocess, ShardTransportKind::Tcp}) {
+    ShardCoordinator coord(shard::makeSupervisedFabric(kind, 2), 4, 4);
+    for (ClientJob& job : jobs) {
+      std::fill(job.out.pixels().begin(), job.out.pixels().end(), 0);
+    }
+    const BatchOutcome out = runBatch(coord, jobs);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      EXPECT_EQ(out.errors[i], "") << "request " << i;
+      EXPECT_EQ(jobs[i].out.pixels(), expected[i]) << "request " << i;
+    }
+    const shard::FabricStats& fs = coord.fabric().stats();
+    EXPECT_EQ(fs.timeouts, 0u) << "kind " << static_cast<int>(kind);
+    EXPECT_EQ(fs.retries, 0u) << "kind " << static_cast<int>(kind);
+    EXPECT_GE(fs.peakInflight, 2u);
+    EXPECT_LE(fs.peakInflight * frameBytes, shard::kShardWindowBytes);
+  }
+}
+
+TEST(ShardPipeline, ShardedServiceBatchMatchesInProcessService) {
+  // One dispatcher batch of 8 mixed requests (one of them TMR) through the
+  // sharded service equals the in-process service per request: bytes,
+  // event ledger and op count, at shards {1, 2, 4} over every transport.
+  // peakInflight >= 2 proves the frames pipelined: a silent fallback to one
+  // frame per shard fails here, not only in the benchmark.
+  struct Outcome {
+    std::vector<std::vector<std::uint8_t>> bytes;
+    std::vector<service::RequestResult> results;
+    std::uint64_t peakInflight = 0;
+  };
+  const auto runAll = [](std::size_t shards, ShardTransportKind kind) {
+    service::ServiceConfig sc;
+    sc.lanes = 4;
+    sc.rowsPerTile = 4;
+    sc.maxBatch = 8;
+    sc.startPaused = true;  // all 8 requests ride one batch
+    sc.shards = shards;
+    sc.shardTransport = kind;
+    service::AcceleratorService svc(sc);
+    std::vector<ClientJob> jobs;
+    const apps::AppKind apps[] = {apps::AppKind::Compositing,
+                                  apps::AppKind::Filters,
+                                  apps::AppKind::Morphology};
+    const core::DesignKind designs[] = {core::DesignKind::ReramSc,
+                                        core::DesignKind::SwScSimd,
+                                        core::DesignKind::SwScLfsr};
+    for (std::size_t i = 0; i < 8; ++i) {
+      jobs.push_back(makeJob(apps[i % 3], designs[i % 3], 12, 90 + i,
+                             i == 5 ? 3 : 1));
+    }
+    std::vector<service::Ticket> tickets;
+    for (ClientJob& job : jobs) tickets.push_back(svc.submit(1, job.request));
+    svc.resume();
+    Outcome out;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      out.results.push_back(svc.wait(tickets[i]));
+      out.bytes.push_back(jobs[i].out.pixels());
+    }
+    if (svc.shardCoordinator() != nullptr) {
+      out.peakInflight = svc.shardCoordinator()->fabric().stats().peakInflight;
+    }
+    return out;
+  };
+
+  const Outcome solo = runAll(0, ShardTransportKind::Loopback);
+  for (const std::size_t shards :
+       {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    for (const ShardTransportKind kind :
+         {ShardTransportKind::Subprocess, ShardTransportKind::Tcp,
+          ShardTransportKind::Loopback}) {
+      const Outcome sharded = runAll(shards, kind);
+      const std::string where = std::to_string(shards) + " shards, kind " +
+                                std::to_string(static_cast<int>(kind));
+      EXPECT_EQ(sharded.bytes, solo.bytes) << where;
+      for (std::size_t i = 0; i < solo.results.size(); ++i) {
+        EXPECT_EQ(sharded.results[i].opCount, solo.results[i].opCount)
+            << where << ", request " << i;
+        EXPECT_TRUE(sharded.results[i].events == solo.results[i].events)
+            << where << ", request " << i;
+        EXPECT_EQ(sharded.results[i].batchSize, 8u) << where;
+      }
+      EXPECT_GE(sharded.peakInflight, 2u) << where;
+    }
+  }
+}
+
+TEST(ShardPipeline, FailedReplyFailsOnlyItsOwnTicket) {
+  // The middle request names a design the worker's decoder rejects, so its
+  // shards answer ok == false.  Only its ticket fails; its batch-mates
+  // resolve Ok with oracle bytes.
+  service::ServiceConfig sc;
+  sc.lanes = 4;
+  sc.rowsPerTile = 4;
+  sc.startPaused = true;
+  sc.shards = 2;
+  sc.shardTransport = ShardTransportKind::Subprocess;
+  service::AcceleratorService svc(sc);
+
+  std::vector<ClientJob> jobs;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    jobs.push_back(makeJob(apps::AppKind::Gamma, core::DesignKind::SwScLfsr,
+                           12, 70 + i));
+  }
+  std::vector<apps::RunResult> oracles;
+  for (const ClientJob& job : jobs) oracles.push_back(oracleRun(job, 12));
+  jobs[1].request.design = static_cast<core::DesignKind>(200);
+
+  std::vector<service::Ticket> tickets;
+  for (ClientJob& job : jobs) tickets.push_back(svc.submit(1, job.request));
+  svc.resume();
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const service::TicketOutcome outcome = svc.waitOutcome(tickets[i]);
+    if (i == 1) {
+      EXPECT_EQ(outcome.status, service::TicketStatus::Failed);
+      EXPECT_NE(outcome.error.find("failed"), std::string::npos)
+          << outcome.error;
+    } else {
+      EXPECT_EQ(outcome.status, service::TicketStatus::Ok) << outcome.error;
+      EXPECT_EQ(jobs[i].out.pixels(), oracles[i].output.pixels());
+    }
+  }
+  EXPECT_EQ(svc.tenantLedger(1).requests, 2u);  // billed before resolving
   svc.shutdown();
 }
 

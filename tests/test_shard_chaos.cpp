@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -187,6 +188,100 @@ TEST(ShardChaos, EveryFaultSiteRecoversByteIdentically) {
       EXPECT_GE(fs.garbageReplies, 2u);
     }
   }
+}
+
+/// Runs \p jobs through the coordinator as ONE pipelined batch and
+/// returns each item's error ("" on success).
+std::vector<std::string> runBatch(ShardCoordinator& coord,
+                                  std::vector<ClientJob>& jobs) {
+  std::vector<ShardCoordinator::BatchItem> items;
+  for (ClientJob& job : jobs) {
+    items.push_back({&job.request, 1, 0, job.request.seed});
+  }
+  std::vector<std::string> errors(jobs.size(), "unresolved");
+  coord.runBatch(items, [&](std::size_t i, const service::RequestResult&,
+                            const std::string& error) { errors[i] = error; });
+  return errors;
+}
+
+/// The per-site invariant on the pipelined path: a 3-request batch puts 3
+/// frames in flight on each of 2 shards before the first join, and EVERY
+/// original dispatch suffers the fault.  Recovery replays the whole FIFO in
+/// order, so every request still equals its oracle, one recovery per shard.
+TEST(ShardChaos, EveryFaultSiteRecoversAPipelinedBatchByteIdentically) {
+  const std::size_t size = 12;
+  std::vector<ClientJob> jobs;
+  std::vector<apps::RunResult> oracles;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    jobs.push_back(makeJob(apps::AppKind::Gamma, core::DesignKind::SwScLfsr,
+                           size, 81 + i));
+    oracles.push_back(oracleRun(jobs.back(), size));
+  }
+
+  for (const FaultSite site :
+       {FaultSite::DropAtSend, FaultSite::CrashBeforeReply,
+        FaultSite::HangBeforeReply, FaultSite::GarbageReply,
+        FaultSite::DropAtRecv}) {
+    ShardCoordinator coord(
+        shard::makeSupervisedFabric(
+            ShardTransportKind::Subprocess, 2, chaosDeadlines(), chaosRetry(),
+            singleSitePlan(site, 1.0, 0xba7c + static_cast<int>(site))),
+        4, 4);
+    for (ClientJob& job : jobs) {
+      std::fill(job.out.pixels().begin(), job.out.pixels().end(), 0);
+    }
+    const std::vector<std::string> errors = runBatch(coord, jobs);
+
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      EXPECT_EQ(errors[i], "") << "site " << static_cast<int>(site);
+      EXPECT_EQ(jobs[i].out.pixels(), oracles[i].output.pixels())
+          << "site " << static_cast<int>(site) << ", request " << i;
+    }
+    const shard::FabricStats& fs = coord.fabric().stats();
+    EXPECT_GE(fs.peakInflight, 2u) << "site " << static_cast<int>(site);
+    EXPECT_EQ(fs.faultsInjected, 6u) << "site " << static_cast<int>(site);
+    // Every frame is in flight before the first join, so each shard needs
+    // exactly one recovery, and one replay of its whole FIFO settles it: a
+    // single retry, well within maxAttempts - 1.  Only the hang site waits
+    // out a deadline.
+    EXPECT_EQ(fs.retries, 2u) << "site " << static_cast<int>(site);
+    EXPECT_EQ(fs.timeouts, site == FaultSite::HangBeforeReply ? 2u : 0u)
+        << "site " << static_cast<int>(site);
+    EXPECT_EQ(fs.deadShards, 0u) << "site " << static_cast<int>(site);
+  }
+}
+
+TEST(ShardChaos, FactorylessGarbageRetriesInPlaceWithFramesInFlight) {
+  // A garbage reply leaves the framing aligned, so a fabric without a
+  // respawn factory retries in place: it drains the replies still owed
+  // behind the garbled head, then replays every unanswered frame.
+  const std::size_t size = 12;
+  std::vector<ClientJob> jobs;
+  std::vector<apps::RunResult> oracles;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    jobs.push_back(makeJob(apps::AppKind::Gamma, core::DesignKind::SwScLfsr,
+                           size, 91 + i));
+    oracles.push_back(oracleRun(jobs.back(), size));
+  }
+  ShardCoordinator coord(
+      std::make_unique<shard::ShardSupervisor>(
+          shard::makeShardChannels(ShardTransportKind::Subprocess, 2,
+                                   chaosDeadlines()),
+          shard::ShardSupervisor::ChannelFactory{}, chaosRetry(),
+          singleSitePlan(FaultSite::GarbageReply, 1.0, 0x6a7b)),
+      4, 4);
+  const std::vector<std::string> errors = runBatch(coord, jobs);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_EQ(errors[i], "") << "request " << i;
+    EXPECT_EQ(jobs[i].out.pixels(), oracles[i].output.pixels())
+        << "request " << i;
+  }
+  const shard::FabricStats& fs = coord.fabric().stats();
+  EXPECT_GE(fs.peakInflight, 2u);
+  EXPECT_GE(fs.garbageReplies, 2u);
+  EXPECT_EQ(fs.retries, 2u);
+  EXPECT_EQ(fs.respawns, 0u);
+  EXPECT_EQ(fs.deadShards, 0u);
 }
 
 TEST(ShardChaos, MixedFaultStormUnderReplicationConverges) {
