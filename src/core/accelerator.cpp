@@ -75,10 +75,6 @@ sc::Bitstream Accelerator::encodePixel(std::uint8_t v) {
   return encodeProb(static_cast<double>(v) / 255.0);
 }
 
-sc::Bitstream Accelerator::encodePixelCorrelated(std::uint8_t v) {
-  return encodeProbCorrelated(static_cast<double>(v) / 255.0);
-}
-
 std::vector<sc::Bitstream> Accelerator::encodePixels(
     std::span<const std::uint8_t> values) {
   imsng_->refreshRandomness();

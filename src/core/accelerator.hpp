@@ -84,9 +84,8 @@ class Accelerator {
   /// Stream correlated with the previous encode* call (shared planes).
   sc::Bitstream encodeProbCorrelated(double p);
 
-  /// Independent / correlated 8-bit pixel encodings (p = v/255).
+  /// Independent 8-bit pixel encoding (p = v/255).
   sc::Bitstream encodePixel(std::uint8_t v);
-  sc::Bitstream encodePixelCorrelated(std::uint8_t v);
 
   /// Batched pixel encoding: deposits ONE fresh set of TRNG planes, then
   /// converts every value against it (one randomness epoch).  All returned

@@ -103,12 +103,9 @@ class SwScConstantPool {
  public:
   explicit SwScConstantPool(const SwScConfig& config) : config_(config) {}
 
-  /// Next pooled stream encoding probability \p p for the current epoch
-  /// (returned by value: the pool vector may grow on later requests).
-  sc::Bitstream get(double p);
-
-  /// Destination-passing form: same rotation, stream copied into \p dst
-  /// (buffer reused) — allocation-free once the bank is warm.
+  /// Copies the next pooled stream encoding probability \p p for the
+  /// current epoch into \p dst (buffer reused) — allocation-free once the
+  /// bank is warm.
   void getInto(sc::Bitstream& dst, double p);
 
   /// Rewinds the per-epoch rotation (streams themselves are kept).
@@ -141,28 +138,8 @@ class SwScGateBackend : public ScBackend {
  public:
   explicit SwScGateBackend(const SwScConfig& config);
 
-  ScValue encodeProb(double p) override;
-  ScValue halfStream() override;
-
-  ScValue multiply(const ScValue& x, const ScValue& y) override;
-  ScValue scaledAdd(const ScValue& x, const ScValue& y,
-                    const ScValue& half) override;
-  ScValue addApprox(const ScValue& x, const ScValue& y) override;
-  ScValue absSub(const ScValue& x, const ScValue& y) override;
-  ScValue minimum(const ScValue& x, const ScValue& y) override;
-  ScValue maximum(const ScValue& x, const ScValue& y) override;
-  ScValue majMux(const ScValue& x, const ScValue& y,
-                 const ScValue& sel) override;
-  ScValue majMux4(const ScValue& i11, const ScValue& i12, const ScValue& i21,
-                  const ScValue& i22, const ScValue& sx,
-                  const ScValue& sy) override;
-  ScValue divide(const ScValue& num, const ScValue& den) override;
-
-  std::vector<std::uint8_t> decodePixels(std::span<ScValue> values) override;
-
-  // Destination-passing forms: the packed-word gate set writes its result
-  // words straight into the destination buffer (same bits, same serial-pass
-  // accounting; allocation-free on warm destinations).
+  // The packed-word gate set writes its result words straight into the
+  // destination buffer (allocation-free on warm destinations).
   void encodeProbInto(ScValue& dst, double p) override;
   void halfStreamInto(ScValue& dst) override;
   void multiplyInto(ScValue& dst, const ScValue& x, const ScValue& y) override;
@@ -184,16 +161,11 @@ class SwScGateBackend : public ScBackend {
   std::uint64_t opCount() const override { return opPasses_; }
 
  protected:
-  ScValue doBernsteinSelect(std::span<const ScValue> xCopies,
-                            std::span<const ScValue> coeffSelects) override;
   void doBernsteinSelectInto(ScValue& dst, std::span<const ScValue> xCopies,
                              std::span<const ScValue> coeffSelects) override;
 
   /// CORDIV realisation (serial flip-flop or word-level scan; both emit
   /// the same bits).
-  virtual sc::Bitstream divideStreams(const sc::Bitstream& num,
-                                      const sc::Bitstream& den) = 0;
-  /// Destination-passing CORDIV (same bits as divideStreams).
   virtual void divideStreamsInto(sc::Bitstream& dst, const sc::Bitstream& num,
                                  const sc::Bitstream& den) = 0;
 
@@ -222,11 +194,6 @@ class SwScBackend final : public SwScGateBackend {
 
   const char* name() const override;
 
-  std::vector<ScValue> encodePixels(
-      std::span<const std::uint8_t> values) override;
-  std::vector<ScValue> encodePixelsCorrelated(
-      std::span<const std::uint8_t> values) override;
-
   /// Fused-row stage-1 forms: the epoch's comparator draw sequence
   /// R_0..R_{N-1} is materialized ONCE per epoch (the per-stream source
   /// restart makes every stream of the epoch replay the same draws), then
@@ -239,16 +206,12 @@ class SwScBackend final : public SwScGateBackend {
                                   std::span<ScValue> out) override;
 
  protected:
-  sc::Bitstream divideStreams(const sc::Bitstream& num,
-                              const sc::Bitstream& den) override;
   void divideStreamsInto(sc::Bitstream& dst, const sc::Bitstream& num,
                          const sc::Bitstream& den) override;
 
  private:
   /// Starts a fresh randomness epoch (source re-seeded in place).
   void newEpoch();
-  /// Encodes one value against the current epoch (source restarted).
-  sc::Bitstream encodeWithEpoch(double p);
   /// Ensures the epoch byte cache + comparator planes cover the current
   /// epoch (one pass of N draws; see encodePixelsInto).
   void refreshEpochCache();

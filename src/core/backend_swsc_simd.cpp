@@ -80,26 +80,6 @@ void SwScSimdBackend::newEpoch() {
   SwScGateBackend::onNewEpoch();
 }
 
-std::vector<ScValue> SwScSimdBackend::encodePixels(
-    std::span<const std::uint8_t> values) {
-  newEpoch();
-  return encodePixelsCorrelated(values);
-}
-
-std::vector<ScValue> SwScSimdBackend::encodePixelsCorrelated(
-    std::span<const std::uint8_t> values) {
-  // Thresholds come from the table shared with the scalar backend
-  // (swScPixelThreshold), so the two engines cannot drift in quantization.
-  std::vector<ScValue> out;
-  out.reserve(values.size());
-  for (const std::uint8_t v : values) {
-    sc::Bitstream s;
-    planes_.encode(swScPixelThreshold(v), s, simd_);
-    out.push_back(ScValue::ofStream(std::move(s)));
-  }
-  return out;
-}
-
 void SwScSimdBackend::encodePixelsInto(std::span<const std::uint8_t> values,
                                        std::span<ScValue> out) {
   if (values.size() != out.size()) {
@@ -117,14 +97,11 @@ void SwScSimdBackend::encodePixelsCorrelatedInto(
         "SwScSimdBackend::encodePixelsCorrelatedInto: destination size "
         "mismatch");
   }
+  // Thresholds come from the table shared with the scalar backend
+  // (swScPixelThreshold), so the two engines cannot drift in quantization.
   for (std::size_t i = 0; i < values.size(); ++i) {
     planes_.encode(swScPixelThreshold(values[i]), out[i].stream, simd_);
   }
-}
-
-sc::Bitstream SwScSimdBackend::divideStreams(const sc::Bitstream& num,
-                                             const sc::Bitstream& den) {
-  return sc::cordivDivideWordLevel(num, den);
 }
 
 void SwScSimdBackend::divideStreamsInto(sc::Bitstream& dst,

@@ -247,33 +247,12 @@ std::vector<std::uint8_t> LoopbackChannel::receive() {
   return reply;
 }
 
-SubprocessChannel::SubprocessChannel(ChannelDeadlines deadlines)
-    : deadlines_(deadlines) {
-  int fds[2];
-  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
-    throw std::runtime_error("SubprocessChannel: socketpair failed");
-  }
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    ::close(fds[0]);
-    ::close(fds[1]);
-    throw std::runtime_error("SubprocessChannel: fork failed");
-  }
-  if (pid == 0) {
-    // Worker child: serve frames until the parent closes its end.  _exit,
-    // never return — unwinding into a fork()ed copy of the parent's state
-    // (atexit handlers, buffered streams) must not happen.
-    closeInheritedParentFds();
-    ::close(fds[0]);
-    ::_exit(shardWorkerMain(fds[1]));
-  }
-  ::close(fds[1]);
-  fd_ = fds[0];
-  pid_ = pid;
+FdChannel::FdChannel(int connectedFd, int pid, ChannelDeadlines deadlines)
+    : deadlines_(deadlines), fd_(connectedFd), pid_(pid) {
   registerParentFd(fd_);
 }
 
-SubprocessChannel::~SubprocessChannel() {
+FdChannel::~FdChannel() {
   if (fd_ >= 0) {
     unregisterParentFd(fd_);
     ::close(fd_);  // worker sees EOF and exits cleanly
@@ -284,7 +263,7 @@ SubprocessChannel::~SubprocessChannel() {
   }
 }
 
-void SubprocessChannel::terminate() {
+void FdChannel::terminate() {
   poisoned_ = true;
   if (pid_ > 0) {
     ::kill(pid_, SIGKILL);
@@ -299,12 +278,12 @@ void SubprocessChannel::terminate() {
   }
 }
 
-void SubprocessChannel::poison(const char* what) {
+void FdChannel::poison(const char* what) {
   poisoned_ = true;
-  throw std::runtime_error(std::string("SubprocessChannel: ") + what);
+  throw std::runtime_error(std::string("FdChannel: ") + what);
 }
 
-void SubprocessChannel::send(std::span<const std::uint8_t> frame) {
+void FdChannel::send(std::span<const std::uint8_t> frame) {
   if (poisoned_) poison("worker previously failed");
   switch (writeFrameWithin(fd_, frame, deadlines_.send)) {
     case IoResult::Ok:
@@ -312,111 +291,49 @@ void SubprocessChannel::send(std::span<const std::uint8_t> frame) {
     case IoResult::Timeout:
       // A partial frame may be in flight: the stream is suspect but the
       // worker may only be slow.  Not poisoned; the supervisor decides.
-      throw ChannelTimeout("SubprocessChannel: send deadline expired");
+      throw ChannelTimeout("FdChannel: send deadline expired");
     case IoResult::Closed:
       break;
   }
   poison("worker unreachable (send failed)");
 }
 
-std::vector<std::uint8_t> SubprocessChannel::receive() {
+std::vector<std::uint8_t> FdChannel::receive() {
   if (poisoned_) poison("worker previously failed");
   std::vector<std::uint8_t> frame;
   switch (readFrameWithin(fd_, frame, deadlines_.recv)) {
     case IoResult::Ok:
       return frame;
     case IoResult::Timeout:
-      throw ChannelTimeout("SubprocessChannel: recv deadline expired");
+      throw ChannelTimeout("FdChannel: recv deadline expired");
     case IoResult::Closed:
       break;
   }
   poison("worker died before replying");
 }
 
-TcpChannel::TcpChannel(int connectedFd, int pid, ChannelDeadlines deadlines)
-    : deadlines_(deadlines), fd_(connectedFd), pid_(pid) {
-  registerParentFd(fd_);
-}
-
-TcpChannel::TcpChannel(const std::string& host, std::uint16_t port,
-                       ChannelDeadlines deadlines)
-    : deadlines_(deadlines) {
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    throw std::runtime_error("TcpChannel: bad IPv4 address " + host);
+std::unique_ptr<ShardChannel> spawnSubprocessWorker(
+    ChannelDeadlines deadlines) {
+  int fds[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
+    throw std::runtime_error("spawnSubprocessWorker: socketpair failed");
   }
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) throw std::runtime_error("TcpChannel: socket failed");
-  if (!connectWithin(fd, reinterpret_cast<const sockaddr*>(&addr),
-                     sizeof(addr), deadlines_.connect)) {
-    ::close(fd);
-    throw std::runtime_error("TcpChannel: connect to " + host + " timed out "
-                             "or was refused");
+  const pid_t pid = ::fork();
+  if (pid < 0) {
+    ::close(fds[0]);
+    ::close(fds[1]);
+    throw std::runtime_error("spawnSubprocessWorker: fork failed");
   }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  fd_ = fd;
-  registerParentFd(fd_);
-}
-
-TcpChannel::~TcpChannel() {
-  if (fd_ >= 0) {
-    unregisterParentFd(fd_);
-    ::close(fd_);
+  if (pid == 0) {
+    // Worker child: serve frames until the parent closes its end.  _exit,
+    // never return — unwinding into a fork()ed copy of the parent's state
+    // (atexit handlers, buffered streams) must not happen.
+    closeInheritedParentFds();
+    ::close(fds[0]);
+    ::_exit(shardWorkerMain(fds[1]));
   }
-  if (pid_ > 0) {
-    int status = 0;
-    ::waitpid(pid_, &status, 0);
-  }
-}
-
-void TcpChannel::terminate() {
-  poisoned_ = true;
-  if (pid_ > 0) {
-    ::kill(pid_, SIGKILL);
-    int status = 0;
-    ::waitpid(pid_, &status, 0);
-    pid_ = -1;
-  }
-  if (fd_ >= 0) {
-    unregisterParentFd(fd_);
-    ::close(fd_);
-    fd_ = -1;
-  }
-}
-
-void TcpChannel::poison(const char* what) {
-  poisoned_ = true;
-  throw std::runtime_error(std::string("TcpChannel: ") + what);
-}
-
-void TcpChannel::send(std::span<const std::uint8_t> frame) {
-  if (poisoned_) poison("worker previously failed");
-  switch (writeFrameWithin(fd_, frame, deadlines_.send)) {
-    case IoResult::Ok:
-      return;
-    case IoResult::Timeout:
-      throw ChannelTimeout("TcpChannel: send deadline expired");
-    case IoResult::Closed:
-      break;
-  }
-  poison("worker unreachable (send failed)");
-}
-
-std::vector<std::uint8_t> TcpChannel::receive() {
-  if (poisoned_) poison("worker previously failed");
-  std::vector<std::uint8_t> frame;
-  switch (readFrameWithin(fd_, frame, deadlines_.recv)) {
-    case IoResult::Ok:
-      return frame;
-    case IoResult::Timeout:
-      throw ChannelTimeout("TcpChannel: recv deadline expired");
-    case IoResult::Closed:
-      break;
-  }
-  poison("worker died before replying");
+  ::close(fds[1]);
+  return std::make_unique<FdChannel>(fds[0], pid, deadlines);
 }
 
 std::unique_ptr<ShardChannel> spawnTcpWorker(ChannelDeadlines deadlines) {
@@ -469,7 +386,7 @@ std::unique_ptr<ShardChannel> spawnTcpWorker(ChannelDeadlines deadlines) {
   }
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return std::unique_ptr<ShardChannel>(new TcpChannel(fd, pid, deadlines));
+  return std::make_unique<FdChannel>(fd, pid, deadlines);
 }
 
 std::vector<std::unique_ptr<ShardChannel>> makeShardChannels(
@@ -479,7 +396,7 @@ std::vector<std::unique_ptr<ShardChannel>> makeShardChannels(
   for (std::size_t i = 0; i < count; ++i) {
     switch (kind) {
       case ShardTransportKind::Subprocess:
-        channels.push_back(std::make_unique<SubprocessChannel>(deadlines));
+        channels.push_back(spawnSubprocessWorker(deadlines));
         break;
       case ShardTransportKind::Tcp:
         channels.push_back(spawnTcpWorker(deadlines));

@@ -1,12 +1,8 @@
 #include "shard/worker.hpp"
 
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <exception>
 
 #include "service/request_kernels.hpp"
@@ -169,34 +165,6 @@ int shardWorkerMain(int fd) {
     }
     if (reply.empty()) continue;  // Misbehave arming frames get no reply
     if (!writeFrame(fd, reply)) return 2;  // coordinator vanished mid-reply
-  }
-}
-
-int shardWorkerTcpMain(std::uint16_t port) {
-  const int listenFd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listenFd < 0) return 3;
-  const int one = 1;
-  ::setsockopt(listenFd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_ANY);
-  addr.sin_port = htons(port);
-  if (::bind(listenFd, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof(addr)) != 0 ||
-      ::listen(listenFd, 4) != 0) {
-    ::close(listenFd);
-    return 3;
-  }
-  for (;;) {
-    const int conn = ::accept(listenFd, nullptr, nullptr);
-    if (conn < 0) {
-      if (errno == EINTR) continue;
-      ::close(listenFd);
-      return 3;
-    }
-    ::setsockopt(conn, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    shardWorkerMain(conn);  // one connection at a time, fresh warm state
-    ::close(conn);
   }
 }
 

@@ -86,17 +86,12 @@ class ShardWorker {
 /// content fails decodeReply's magic check.
 std::vector<std::uint8_t> garbageReplyFrame();
 
-/// Subprocess entry point: serve length-prefixed frames from \p fd until
-/// EOF (coordinator closed the socket) or a fatal I/O error.  Returns the
-/// process exit code (0 on clean EOF).  Called in the fork()ed child by
-/// SubprocessChannel / spawnTcpWorker; never returns on a Crash frame
+/// Worker-process entry point: serve length-prefixed frames from \p fd
+/// until EOF (coordinator closed the socket) or a fatal I/O error.  Returns
+/// the process exit code (0 on clean EOF).  Called in the fork()ed child by
+/// `spawnSubprocessWorker` / `spawnTcpWorker` (the only ways to reach a
+/// worker: the fabric is single-host); never returns on a Crash frame
 /// (`_exit(42)`) or a fired crash/hang/drop fault (43 / hang / 44).
 int shardWorkerMain(int fd);
-
-/// Standalone TCP worker: binds 0.0.0.0:\p port and serves one accepted
-/// connection at a time (fresh warm state per connection), forever.  The
-/// remote end of `TcpChannel(host, port)`.  Returns nonzero only on
-/// bind/listen failure.
-int shardWorkerTcpMain(std::uint16_t port);
 
 }  // namespace aimsc::shard

@@ -10,6 +10,7 @@
 #include <signal.h>
 
 #include <algorithm>
+#include <ostream>
 #include <random>
 #include <span>
 #include <string>
@@ -451,6 +452,82 @@ shard::ChannelDeadlines testDeadlines() {
   return d;
 }
 
+// --- one channel contract for both process spawn paths ----------------------
+
+using SpawnFn = std::unique_ptr<shard::ShardChannel> (*)(shard::ChannelDeadlines);
+
+struct SpawnCase {
+  const char* name;
+  SpawnFn spawn;
+};
+
+void PrintTo(const SpawnCase& c, std::ostream* os) { *os << c.name; }
+
+class FdChannelContract : public ::testing::TestWithParam<SpawnCase> {
+ protected:
+  std::unique_ptr<shard::ShardChannel> spawn(std::chrono::milliseconds recv) {
+    shard::ChannelDeadlines d;
+    d.recv = recv;
+    return GetParam().spawn(d);
+  }
+};
+
+/// Runs \p op and reports whether it threw a hard failure: a
+/// std::runtime_error that is NOT a ChannelTimeout.
+template <typename Op>
+bool throwsHardFailure(Op&& op) {
+  try {
+    op();
+  } catch (const shard::ChannelTimeout&) {
+    return false;
+  } catch (const std::runtime_error&) {
+    return true;
+  }
+  return false;
+}
+
+TEST_P(FdChannelContract, RecvDeadlineWithNothingInFlightTimesOutHealthy) {
+  auto ch = spawn(std::chrono::milliseconds(50));
+  EXPECT_GT(ch->workerPid(), 0);
+  EXPECT_THROW(ch->receive(), shard::ChannelTimeout);
+  EXPECT_TRUE(ch->healthy());
+  // A timeout does not poison: the same worker still answers a heartbeat.
+  ch->send(shard::encodePing());
+  const WireReply pong = shard::decodeReply(ch->receive());
+  EXPECT_EQ(pong.kind, shard::ReplyKind::Pong);
+  EXPECT_TRUE(ch->healthy());
+}
+
+TEST_P(FdChannelContract, TerminateKillsReapsAndFailsHard) {
+  auto ch = spawn(std::chrono::milliseconds(2000));
+  ASSERT_GT(ch->workerPid(), 0);
+  ch->terminate();
+  EXPECT_FALSE(ch->healthy());
+  EXPECT_EQ(ch->workerPid(), -1);
+  const std::vector<std::uint8_t> ping = shard::encodePing();
+  EXPECT_TRUE(throwsHardFailure([&] { ch->send(ping); }));
+  EXPECT_TRUE(throwsHardFailure([&] { ch->receive(); }));
+}
+
+TEST_P(FdChannelContract, KilledWorkerFailsReceiveAndPoisons) {
+  auto ch = spawn(std::chrono::milliseconds(2000));
+  const int pid = ch->workerPid();
+  ASSERT_GT(pid, 0);
+  ASSERT_EQ(::kill(pid, SIGKILL), 0);
+  EXPECT_TRUE(throwsHardFailure([&] { ch->receive(); }));
+  EXPECT_FALSE(ch->healthy());
+  // Poisoned: later calls keep failing fast.
+  EXPECT_TRUE(throwsHardFailure([&] { ch->send(shard::encodePing()); }));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothSpawnPaths, FdChannelContract,
+    ::testing::Values(SpawnCase{"Subprocess", &shard::spawnSubprocessWorker},
+                      SpawnCase{"Tcp", &shard::spawnTcpWorker}),
+    [](const ::testing::TestParamInfo<SpawnCase>& info) {
+      return std::string(info.param.name);
+    });
+
 TEST(ShardFailure, SupervisorRecoversCrashedWorkerByteIdentically) {
   // PR-8's contract was "error, not hang"; the supervised fabric upgrades
   // it to "recover, byte-identically".  Kill -9 a worker between requests:
@@ -638,8 +715,8 @@ TEST(ShardFailure, FactorylessTimeoutDegradesInsteadOfPairingALateReply) {
   shard::ChannelDeadlines hasty;
   hasty.recv = std::chrono::milliseconds(2);  // below one frame's work
   std::vector<std::unique_ptr<shard::ShardChannel>> channels;
-  channels.push_back(std::make_unique<shard::SubprocessChannel>(hasty));
-  channels.push_back(std::make_unique<shard::SubprocessChannel>());
+  channels.push_back(shard::spawnSubprocessWorker(hasty));
+  channels.push_back(shard::spawnSubprocessWorker());
   shard::RetryPolicy patient;
   patient.maxAttempts = 12;
   patient.initialBackoff = std::chrono::milliseconds(20);
