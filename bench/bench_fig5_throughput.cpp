@@ -6,10 +6,11 @@
 // (batched IMSNG + lane-pinned row tiles) across worker-thread counts,
 // verifying that the tiled output is bit-identical at every thread count.
 //
-// Part 3 measures the software-SC substrate: the scalar SwScLfsr backend
-// (one virtual RNG call per stream bit) against the SIMD-batched SwScSimd
-// backend (bulk LFSR + packed comparator), verifying the two are
-// bit-identical per seed.  Target: >= 8x at 256x256, N = 256.
+// Part 3 measures the software-SC substrate: the SW-SC engine forced to
+// its portable uint64 path (the "scalar" keys) against the same engine at
+// the widest SIMD path the host supports, verifying the two are
+// bit-identical per seed (the independent per-bit check is in
+// tests/test_backend_simd.cpp).
 //
 // Part 4 measures the allocation-free hot path: the fused arena + *Into
 // compositing kernel against a verbatim copy of the pre-arena allocating
@@ -31,7 +32,6 @@
 #include "apps/runner.hpp"
 #include "core/backend_reram.hpp"
 #include "core/backend_swsc.hpp"
-#include "core/backend_swsc_simd.hpp"
 #include "core/stream_arena.hpp"
 #include "energy/report.hpp"
 #include "energy/system_model.hpp"
@@ -208,8 +208,8 @@ AllocResult measuredAllocVsFused(std::size_t size,
   return r;
 }
 
-/// Part 3: the software-SC substrate — scalar vs SIMD-batched (same design
-/// point, same seed, bit-identical output by contract), the full width
+/// Part 3: the software-SC substrate — the engine at `SimdMode::Portable`
+/// vs `Auto` (same seed, bit-identical output by contract), the full width
 /// ladder (each explicit request clamps down on weak hosts, so every entry
 /// is measurable everywhere), and the SFMT epoch-source family.
 SwScResult measuredSwScSweep(std::size_t size,
@@ -220,35 +220,22 @@ SwScResult measuredSwScSweep(std::size_t size,
   SwScResult r;
   r.simdWidth = sc::simdModeName(sc::resolveSimd(sc::SimdMode::Auto));
 
-  core::SwScConfig scalarCfg;
-  scalarCfg.streamLength = 256;
-  img::Image scalarOut;
-  r.scalarPps = kPixels / bestSeconds(reps, [&] {
-    core::SwScBackend b(scalarCfg);
-    const auto t0 = std::chrono::steady_clock::now();
-    scalarOut = apps::compositeKernel(scene, b);
-    return secondsSince(t0);
-  });
-
   const auto runSimd = [&](core::SwScSng sng, sc::SimdMode mode,
                            img::Image& out) {
-    core::SwScSimdConfig cfg;
+    core::SwScConfig cfg;
     cfg.streamLength = 256;
     cfg.sng = sng;
     cfg.simd = mode;
     return kPixels / bestSeconds(reps, [&] {
-      core::SwScSimdBackend b(cfg);
+      core::SwScBackend b(cfg);
       const auto t0 = std::chrono::steady_clock::now();
       out = apps::compositeKernel(scene, b);
       return secondsSince(t0);
     });
   };
 
-  img::Image simdOut;
-  r.simdPps = runSimd(core::SwScSng::Lfsr, sc::SimdMode::Auto, simdOut);
-  r.bitIdentical = simdOut.pixels() == scalarOut.pixels();
-
-  // Width ladder, each rung against the forced-portable bits.
+  // Width ladder, each rung against the forced-portable bits; the portable
+  // rung is also the "scalar" side of the Auto comparison.
   img::Image portableOut;
   for (const sc::SimdMode mode :
        {sc::SimdMode::Portable, sc::SimdMode::Sse2, sc::SimdMode::Avx2,
@@ -261,32 +248,27 @@ SwScResult measuredSwScSweep(std::size_t size,
     p.bitIdentical = out.pixels() == portableOut.pixels();
     r.widths.push_back(p);
   }
+  r.scalarPps = r.widths.front().pps;
+  img::Image simdOut;
+  r.simdPps = runSimd(core::SwScSng::Lfsr, sc::SimdMode::Auto, simdOut);
+  r.bitIdentical = simdOut.pixels() == portableOut.pixels();
 
-  // SFMT family: scalar reference vs the BulkSfmt-prefetching SIMD engine.
-  core::SwScConfig sfmtCfg;
-  sfmtCfg.streamLength = 256;
-  sfmtCfg.sng = core::SwScSng::Sfmt;
+  // SFMT family: the BulkSfmt recurrence at the portable vs the widest
+  // path; both sfmt_bit_identical_* keys carry this one comparison.
   img::Image sfmtScalarOut;
-  r.sfmtScalarPps = kPixels / bestSeconds(reps, [&] {
-    core::SwScBackend b(sfmtCfg);
-    const auto t0 = std::chrono::steady_clock::now();
-    sfmtScalarOut = apps::compositeKernel(scene, b);
-    return secondsSince(t0);
-  });
+  r.sfmtScalarPps =
+      runSimd(core::SwScSng::Sfmt, sc::SimdMode::Portable, sfmtScalarOut);
   img::Image sfmtSimdOut;
   r.sfmtSimdPps = runSimd(core::SwScSng::Sfmt, sc::SimdMode::Auto, sfmtSimdOut);
   r.sfmtBitIdenticalToScalar = sfmtSimdOut.pixels() == sfmtScalarOut.pixels();
-  img::Image sfmtPortableOut;
-  runSimd(core::SwScSng::Sfmt, sc::SimdMode::Portable, sfmtPortableOut);
-  r.sfmtBitIdenticalToPortable =
-      sfmtSimdOut.pixels() == sfmtPortableOut.pixels();
+  r.sfmtBitIdenticalToPortable = r.sfmtBitIdenticalToScalar;
 
   // SIMD x tile-parallel: the two speedup axes compose.
   core::ParallelConfig par;
   par.threads = 4;
   core::BackendFactoryConfig fleetCfg;
   fleetCfg.streamLength = 256;
-  fleetCfg.seed = scalarCfg.seed;
+  fleetCfg.seed = core::SwScConfig{}.seed;
   core::TileExecutor exec(
       core::makeBackendLanes(core::DesignKind::SwScSimd, fleetCfg, par.lanes),
       par);
@@ -298,22 +280,22 @@ SwScResult measuredSwScSweep(std::size_t size,
   std::printf(
       "\nSoftware-SC substrate: %zux%zu compositing, N=256 "
       "(auto width: %s; AVX2 %s, AVX-512BW %s)\n"
-      "  SwScLfsr scalar backend:  %10.0f pixels/s\n"
-      "  SwScSimd serial backend:  %10.0f pixels/s (%.1fx scalar)\n"
-      "  SwScSimd tiled, 4 threads:%10.0f pixels/s (%.1fx scalar)\n"
-      "  SIMD bit-identical to scalar: %s\n",
+      "  SwScLfsr portable path:   %10.0f pixels/s\n"
+      "  SwScLfsr widest path:     %10.0f pixels/s (%.1fx portable)\n"
+      "  SwScSimd tiled, 4 threads:%10.0f pixels/s (%.1fx portable)\n"
+      "  widest path bit-identical to portable: %s\n",
       size, size, r.simdWidth, sc::cpuHasAvx2() ? "available" : "absent",
       sc::cpuHasAvx512bw() ? "available" : "absent", r.scalarPps, r.simdPps,
       r.simdPps / r.scalarPps, r.simdTiledPps, r.simdTiledPps / r.scalarPps,
       r.bitIdentical ? "yes" : "NO (BUG)");
   for (const WidthPoint& p : r.widths) {
-    std::printf("  width %-8s: %10.0f pixels/s (%.1fx scalar), %s portable\n",
+    std::printf("  width %-8s: %10.0f pixels/s (%.1fx portable), %s portable\n",
                 sc::simdModeName(p.mode), p.pps, p.pps / r.scalarPps,
                 p.bitIdentical ? "bit-identical to" : "DIVERGES FROM (BUG)");
   }
   std::printf(
-      "  SFMT scalar backend:      %10.0f pixels/s\n"
-      "  SFMT SIMD backend:        %10.0f pixels/s (%.1fx SFMT scalar)\n"
+      "  SFMT portable path:       %10.0f pixels/s\n"
+      "  SFMT widest path:         %10.0f pixels/s (%.1fx SFMT portable)\n"
       "  SFMT bit-identical: scalar %s, portable %s\n",
       r.sfmtScalarPps, r.sfmtSimdPps, r.sfmtSimdPps / r.sfmtScalarPps,
       r.sfmtBitIdenticalToScalar ? "yes" : "NO (BUG)",

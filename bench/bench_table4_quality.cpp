@@ -25,7 +25,6 @@
 #include "apps/runner.hpp"
 #include "core/backend_reram.hpp"
 #include "core/backend_swsc.hpp"
-#include "core/backend_swsc_simd.hpp"
 #include "energy/report.hpp"
 #include "img/synth.hpp"
 #include "reliability/fault_plan.hpp"
@@ -58,7 +57,9 @@ Cell averaged(RunFn&& run, int runs) {
 }
 
 /// Bit-identity contracts of the promoted vocabulary, checked on small
-/// scenes: SwScSimd vs SwScLfsr per op and per kernel, and the fused
+/// scenes: the SW-SC engine at its widest SIMD path vs the same engine at
+/// `SimdMode::Portable` per op and per kernel (the independent per-bit
+/// check lives in tests/test_backend_simd.cpp), and the fused
 /// (arena + *Into) gamma kernel vs a verbatim allocating per-pixel loop on
 /// an identically seeded ReRAM accelerator.
 struct VocabIdentity {
@@ -76,10 +77,11 @@ VocabIdentity checkVocabIdentity() {
   VocabIdentity id;
   core::SwScConfig swCfg;
   swCfg.streamLength = 256;
+  swCfg.simd = sc::SimdMode::Portable;
   core::SwScBackend scalar(swCfg);
-  core::SwScSimdConfig simdCfg;
-  static_cast<core::SwScConfig&>(simdCfg) = swCfg;
-  core::SwScSimdBackend simd(simdCfg);
+  core::SwScConfig simdCfg = swCfg;
+  simdCfg.simd = sc::SimdMode::Auto;
+  core::SwScBackend simd(simdCfg);
 
   // One correlated pair + one independent pair per engine, same epochs.
   const auto sx = scalar.encodePixels(std::vector<std::uint8_t>{200});
@@ -112,13 +114,13 @@ VocabIdentity checkVocabIdentity() {
   const img::Image scene = img::naturalScene(12, 10, 17);
   {
     core::SwScBackend s2(swCfg);
-    core::SwScSimdBackend v2(simdCfg);
+    core::SwScBackend v2(simdCfg);
     id.simdGamma = apps::gammaKernel(scene, 2.2, s2, 4).pixels() ==
                    apps::gammaKernel(scene, 2.2, v2, 4).pixels();
   }
   {
     core::SwScBackend s2(swCfg);
-    core::SwScSimdBackend v2(simdCfg);
+    core::SwScBackend v2(simdCfg);
     id.simdMorphology = apps::openKernel(scene, s2).pixels() ==
                         apps::openKernel(scene, v2).pixels();
   }
@@ -275,7 +277,7 @@ int main(int argc, char** argv) {
 
   const VocabIdentity vid = checkVocabIdentity();
   std::printf(
-      "bit-identity: SwScSimd==SwScLfsr min %s max %s addApprox %s "
+      "bit-identity: SW-SC SIMD==portable min %s max %s addApprox %s "
       "bernstein %s gamma %s morphology %s; ReRAM fused gamma %s\n",
       vid.simdMinimum ? "yes" : "NO", vid.simdMaximum ? "yes" : "NO",
       vid.simdAddApprox ? "yes" : "NO", vid.simdBernstein ? "yes" : "NO",

@@ -10,7 +10,6 @@
 #include "apps/runner.hpp"
 #include "core/backend_reram.hpp"
 #include "core/backend_swsc.hpp"
-#include "core/backend_swsc_simd.hpp"
 #include "img/metrics.hpp"
 #include "img/pgm.hpp"
 
@@ -38,19 +37,20 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(ev.rowWrites),
               static_cast<unsigned long long>(ev.adcConversions));
 
-  // The same kernel on the software-SC substrates: the SIMD-batched
-  // backend reproduces the scalar CMOS baseline bit for bit.
+  // The same kernel on the software-SC substrate: the widest SIMD path
+  // reproduces the portable uint64 path of the CMOS baseline bit for bit.
   core::SwScConfig swCfg;
   swCfg.streamLength = n;
-  core::SwScBackend scalarSw(swCfg);
-  core::SwScSimdConfig simdCfg;
-  simdCfg.streamLength = n;
-  core::SwScSimdBackend simdSw(simdCfg);
-  const img::Image swOut = apps::compositeKernel(scene, scalarSw);
+  swCfg.simd = sc::SimdMode::Portable;
+  core::SwScBackend portableSw(swCfg);
+  swCfg.simd = sc::SimdMode::Auto;
+  core::SwScBackend simdSw(swCfg);
+  const img::Image swOut = apps::compositeKernel(scene, portableSw);
   const img::Image simdOut = apps::compositeKernel(scene, simdSw);
-  std::printf("SW-SC (LFSR) PSNR vs reference: %.2f dB; SIMD backend %s\n",
+  std::printf("SW-SC (LFSR) PSNR vs reference: %.2f dB; %s path %s\n",
               img::psnrDb(swOut, ref),
-              simdOut.pixels() == swOut.pixels() ? "bit-identical"
+              sc::simdModeName(sc::resolveSimd(sc::SimdMode::Auto)),
+              simdOut.pixels() == swOut.pixels() ? "bit-identical to portable"
                                                  : "DIVERGED (bug)");
 
   img::writePgm("out_compositing_background.pgm", scene.background);

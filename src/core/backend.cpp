@@ -9,7 +9,6 @@
 #include "core/backend_reference.hpp"
 #include "core/backend_reram.hpp"
 #include "core/backend_swsc.hpp"
-#include "core/backend_swsc_simd.hpp"
 #include "reliability/injector.hpp"
 
 namespace aimsc::core {
@@ -261,22 +260,16 @@ std::unique_ptr<ScBackend> makeInnerBackend(
       return std::make_unique<ReferenceBackend>();
     case DesignKind::SwScLfsr:
     case DesignKind::SwScSobol:
-    case DesignKind::SwScSfmt: {
+    case DesignKind::SwScSfmt:
+    case DesignKind::SwScSimd: {
       SwScConfig sw;
       sw.streamLength = config.streamLength;
-      sw.sng = design == DesignKind::SwScLfsr    ? SwScSng::Lfsr
-               : design == DesignKind::SwScSobol ? SwScSng::Sobol
-                                                 : SwScSng::Sfmt;
+      // SwScSimd is the SwScLfsr design point under its own selector.
+      sw.sng = design == DesignKind::SwScSobol  ? SwScSng::Sobol
+               : design == DesignKind::SwScSfmt ? SwScSng::Sfmt
+                                                : SwScSng::Lfsr;
       sw.seed = config.seed;
-      return std::make_unique<SwScBackend>(sw);
-    }
-    case DesignKind::SwScSimd: {
-      SwScSimdConfig sw;
-      sw.streamLength = config.streamLength;
-      sw.sng = SwScSng::Lfsr;  // the SwScLfsr design point, batched
-      sw.seed = config.seed;
-      sw.simd = config.simd;
-      return std::make_unique<SwScSimdBackend>(sw);
+      return std::make_unique<SwScBackend>(sw, design);
     }
     case DesignKind::ReramSc: {
       AcceleratorConfig ac;

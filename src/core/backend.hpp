@@ -24,11 +24,8 @@
 ///  | Reference   | ReferenceBackend | double probability     |
 ///  | SwScLfsr/   | SwScBackend      | software Bitstream     |
 ///  |  SwScSobol/ |                  | (LFSR / Sobol / SFMT   |
-///  |  SwScSfmt   |                  |  SNG family)           |
-///  | SwScSimd    | SwScSimdBackend  | software Bitstream     |
-///  |             |                  | (word/SSE2/AVX2/AVX-512|
-///  |             |                  | SNG; bit-identical to  |
-///  |             |                  | SwScLfsr)              |
+///  |  SwScSfmt/  |                  |  SNG family; SwScSimd  |
+///  |  SwScSimd   |                  |  = the LFSR design)    |
 ///  | ReramSc     | ReramScBackend   | in-memory Bitstream    |
 ///  | BinaryCim   | BinaryCimBackend | 8/16-bit integer word  |
 ///
@@ -49,7 +46,6 @@
 #include "reram/device.hpp"
 #include "reram/events.hpp"
 #include "sc/bitstream.hpp"
-#include "sc/simd_caps.hpp"
 
 /// \namespace aimsc
 /// \brief Root namespace of the all-in-memory SC reproduction.
@@ -59,19 +55,20 @@
 ///        backend factory and the tile-parallel engine.
 namespace aimsc::core {
 
-/// Execution substrate selector (the paper's Table IV design axis, plus
-/// the SIMD-batched software-SC engine — same design point as SwScLfsr,
-/// executed word-parallel).
+/// Execution substrate selector (the paper's Table IV design axis).  The
+/// four SW-SC kinds run on one engine, `SwScBackend`; `SwScSimd` is the
+/// `SwScLfsr` design point under its own selector, kept because the wire
+/// protocol serializes `DesignKind` by value.
 enum class DesignKind {
   Reference,  ///< exact floating-point probabilities
-  SwScLfsr,   ///< scalar software SC, LFSR SNG
-  SwScSobol,  ///< scalar software SC, Sobol SNG
-  SwScSimd,   ///< word/SIMD-batched software SC (bit-identical to SwScLfsr)
+  SwScLfsr,   ///< software SC, LFSR SNG
+  SwScSobol,  ///< software SC, Sobol SNG
+  SwScSimd,   ///< software SC, LFSR SNG (bit-identical to SwScLfsr)
   ReramSc,    ///< this work: in-memory SC on ReRAM
   BinaryCim,  ///< binary CIM baseline (MAGIC/AritPIM)
   // Appended after BinaryCim: the wire protocol serializes DesignKind by
   // value, so existing entries must never be renumbered.
-  SwScSfmt,   ///< scalar software SC, SIMD-native SFMT SNG family
+  SwScSfmt,   ///< software SC, SIMD-native SFMT SNG family
 };
 
 /// Human-readable name of \p design (matches the backend's `name()`).
@@ -326,13 +323,6 @@ enum class CimProtection { None, Dmr, Tmr };
 struct BackendFactoryConfig {
   std::size_t streamLength = 256;  ///< N (stream backends)
   std::uint64_t seed = 0x5eed;     ///< master randomness seed
-
-  /// Instruction-set width for the SIMD SW-SC substrate (`SwScSimd`):
-  /// `Auto` picks the widest supported level (honouring the `AIMSC_SIMD`
-  /// env override); explicit levels clamp down to host support.  A pure
-  /// performance knob — every width emits bit-identical streams — so it is
-  /// deliberately NOT part of the shard wire protocol.
-  sc::SimdMode simd = sc::SimdMode::Auto;
 
   /// The unified fault contract (docs/RELIABILITY.md): device variability
   /// feeds the substrate's native fault models, the stream/word-level

@@ -7,6 +7,7 @@
 #include "sc/bernstein.hpp"
 #include "sc/cordiv.hpp"
 #include "sc/ops.hpp"
+#include "sc/sfmt.hpp"
 #include "sc/sng.hpp"
 
 namespace aimsc::core {
@@ -111,82 +112,184 @@ void SwScConstantPool::getInto(sc::Bitstream& dst, double p) { dst = next(p); }
 void SwScConstantPool::onNewEpoch() { ++epochStamp_; }
 
 // ---------------------------------------------------------------------------
-// SwScGateBackend: the shared gate set, constants and accounting
+// SwScBackend
 // ---------------------------------------------------------------------------
 
-SwScGateBackend::SwScGateBackend(const SwScConfig& config)
-    : config_(config), constants_(config) {}
+namespace {
 
-void SwScGateBackend::encodeProbInto(ScValue& dst, double p) {
+template <typename Bulk>
+void refillLfsrBlockAs(const SwScConfig& config, std::uint64_t epoch,
+                       std::vector<std::uint8_t>& block) {
+  std::array<std::uint8_t, Bulk::kLanes> seeds;
+  for (std::size_t k = 0; k < seeds.size(); ++k) {
+    seeds[k] = static_cast<std::uint8_t>(
+        swScLfsrSeedForEpoch(config.seed, epoch + k));
+  }
+  block.resize(seeds.size() * config.streamLength);
+  Bulk bulk(seeds);
+  bulk.generate(config.streamLength, block.data());
+}
+
+DesignKind designOf(SwScSng sng) {
+  switch (sng) {
+    case SwScSng::Lfsr: return DesignKind::SwScLfsr;
+    case SwScSng::Sobol: return DesignKind::SwScSobol;
+    case SwScSng::Sfmt: return DesignKind::SwScSfmt;
+  }
+  return DesignKind::SwScLfsr;
+}
+
+}  // namespace
+
+SwScBackend::SwScBackend(const SwScConfig& config)
+    : SwScBackend(config, designOf(config.sng)) {}
+
+SwScBackend::SwScBackend(const SwScConfig& config, DesignKind design)
+    : config_(config),
+      design_(design),
+      resolved_(sc::resolveSimd(config.simd)),
+      constants_(config) {
+  newEpoch();
+}
+
+const char* SwScBackend::name() const { return designKindName(design_); }
+
+void SwScBackend::refillBlock(std::uint64_t epoch) {
+  if (config_.sng == SwScSng::Lfsr) {
+    // On 512-bit hosts the deep prefetch shape covers one AVX-512 register
+    // per SWAR word pass; bit-neutral, since lane seeds derive per epoch.
+    if (resolved_ == sc::SimdMode::Avx512) {
+      blockLanes_ = sc::BulkLfsr8Wide::kLanes;
+      refillLfsrBlockAs<sc::BulkLfsr8Wide>(config_, epoch, block_);
+    } else {
+      blockLanes_ = sc::BulkLfsr8::kLanes;
+      refillLfsrBlockAs<sc::BulkLfsr8>(config_, epoch, block_);
+    }
+  } else {
+    std::array<std::uint32_t, sc::BulkSfmt::kLanes> seeds;
+    for (std::size_t k = 0; k < seeds.size(); ++k) {
+      seeds[k] = swScSfmtSeedForEpoch(config_.seed, epoch + k);
+    }
+    blockLanes_ = sc::BulkSfmt::kLanes;
+    block_.resize(seeds.size() * config_.streamLength);
+    sc::BulkSfmt bulk(seeds, config_.simd);
+    bulk.generate(config_.streamLength, block_.data());
+  }
+  blockBase_ = epoch;
+}
+
+void SwScBackend::newEpoch() {
+  ++epoch_;
+  const std::size_t n = config_.streamLength;
+  if (config_.sng == SwScSng::Sobol) {
+    const SwScSobolEpoch p = swScSobolForEpoch(config_.seed, epoch_);
+    sc::Sobol sobol(p.dimension, p.skip);
+    sobolBytes_.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      sobolBytes_[i] = static_cast<std::uint8_t>(sobol.next32() >> 24);
+    }
+    planes_.assign(sobolBytes_.data(), n, config_.simd);
+  } else {
+    if (blockBase_ == 0 || epoch_ < blockBase_ ||
+        epoch_ >= blockBase_ + blockLanes_) {
+      refillBlock(epoch_);
+    }
+    planes_.assign(&block_[(epoch_ - blockBase_) * n], n, config_.simd);
+  }
+  constants_.onNewEpoch();
+}
+
+void SwScBackend::encodePixelsInto(std::span<const std::uint8_t> values,
+                                   std::span<ScValue> out) {
+  if (values.size() != out.size()) {
+    throw std::invalid_argument(
+        "SwScBackend::encodePixelsInto: destination size mismatch");
+  }
+  newEpoch();
+  encodePixelsCorrelatedInto(values, out);
+}
+
+void SwScBackend::encodePixelsCorrelatedInto(
+    std::span<const std::uint8_t> values, std::span<ScValue> out) {
+  if (values.size() != out.size()) {
+    throw std::invalid_argument(
+        "SwScBackend::encodePixelsCorrelatedInto: destination size mismatch");
+  }
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    planes_.encode(swScPixelThreshold(values[i]), out[i].stream,
+                   config_.simd);
+  }
+}
+
+void SwScBackend::encodeProbInto(ScValue& dst, double p) {
   constants_.getInto(dst.stream, p);
 }
 
-void SwScGateBackend::halfStreamInto(ScValue& dst) {
-  encodeProbInto(dst, 0.5);
-}
+void SwScBackend::halfStreamInto(ScValue& dst) { encodeProbInto(dst, 0.5); }
 
-void SwScGateBackend::multiplyInto(ScValue& dst, const ScValue& x,
-                                   const ScValue& y) {
+void SwScBackend::multiplyInto(ScValue& dst, const ScValue& x,
+                               const ScValue& y) {
   ++opPasses_;
   sc::scMultiplyInto(dst.stream, x.stream, y.stream);
 }
 
-void SwScGateBackend::scaledAddInto(ScValue& dst, const ScValue& x,
-                                    const ScValue& y, const ScValue& half) {
+void SwScBackend::scaledAddInto(ScValue& dst, const ScValue& x,
+                                const ScValue& y, const ScValue& half) {
   ++opPasses_;
   sc::scScaledAddMuxInto(dst.stream, x.stream, y.stream, half.stream);
 }
 
-void SwScGateBackend::addApproxInto(ScValue& dst, const ScValue& x,
-                                    const ScValue& y) {
+void SwScBackend::addApproxInto(ScValue& dst, const ScValue& x,
+                                const ScValue& y) {
   ++opPasses_;
   sc::scAddOrInto(dst.stream, x.stream, y.stream);
 }
 
-void SwScGateBackend::absSubInto(ScValue& dst, const ScValue& x,
-                                 const ScValue& y) {
+void SwScBackend::absSubInto(ScValue& dst, const ScValue& x,
+                             const ScValue& y) {
   ++opPasses_;
   sc::scAbsSubInto(dst.stream, x.stream, y.stream);
 }
 
-void SwScGateBackend::minimumInto(ScValue& dst, const ScValue& x,
-                                  const ScValue& y) {
+void SwScBackend::minimumInto(ScValue& dst, const ScValue& x,
+                              const ScValue& y) {
   ++opPasses_;
   sc::scMinInto(dst.stream, x.stream, y.stream);
 }
 
-void SwScGateBackend::maximumInto(ScValue& dst, const ScValue& x,
-                                  const ScValue& y) {
+void SwScBackend::maximumInto(ScValue& dst, const ScValue& x,
+                              const ScValue& y) {
   ++opPasses_;
   sc::scMaxInto(dst.stream, x.stream, y.stream);
 }
 
-void SwScGateBackend::majMuxInto(ScValue& dst, const ScValue& x,
-                                 const ScValue& y, const ScValue& sel) {
+void SwScBackend::majMuxInto(ScValue& dst, const ScValue& x, const ScValue& y,
+                             const ScValue& sel) {
   // The CMOS design uses an exact 2-to-1 MUX (sel = 1 selects x).
   ++opPasses_;
   sc::Bitstream::muxInto(dst.stream, x.stream, y.stream, sel.stream);
 }
 
-void SwScGateBackend::majMux4Into(ScValue& dst, const ScValue& i11,
-                                  const ScValue& i12, const ScValue& i21,
-                                  const ScValue& i22, const ScValue& sx,
-                                  const ScValue& sy) {
+void SwScBackend::majMux4Into(ScValue& dst, const ScValue& i11,
+                              const ScValue& i12, const ScValue& i21,
+                              const ScValue& i22, const ScValue& sx,
+                              const ScValue& sy) {
   opPasses_ += 3;  // three serial MUX stages (the scMux4 tree, staged)
   sc::Bitstream::muxInto(tmpTop_, i12.stream, i11.stream, sy.stream);
   sc::Bitstream::muxInto(tmpBottom_, i22.stream, i21.stream, sy.stream);
   sc::Bitstream::muxInto(dst.stream, tmpBottom_, tmpTop_, sx.stream);
 }
 
-void SwScGateBackend::divideInto(ScValue& dst, const ScValue& num,
-                                 const ScValue& den) {
+void SwScBackend::divideInto(ScValue& dst, const ScValue& num,
+                             const ScValue& den) {
+  // One serial CORDIV pass, computed by the word-level scan.
   ++opPasses_;
-  divideStreamsInto(dst.stream, num.stream, den.stream);
+  sc::cordivDivideWordLevelInto(dst.stream, num.stream, den.stream);
 }
 
-void SwScGateBackend::doBernsteinSelectInto(
-    ScValue& dst, std::span<const ScValue> xCopies,
-    std::span<const ScValue> coeffSelects) {
+void SwScBackend::doBernsteinSelectInto(ScValue& dst,
+                                        std::span<const ScValue> xCopies,
+                                        std::span<const ScValue> coeffSelects) {
   // Borrowed-pointer staging through member scratch: gamma calls the
   // network once per pixel, so even the pointer vectors must not churn.
   copyPtrScratch_.resize(xCopies.size());
@@ -206,105 +309,16 @@ void SwScGateBackend::doBernsteinSelectInto(
   opPasses_ += xCopies.size() + coeffSelects.size() - 1;
 }
 
-void SwScGateBackend::decodePixelsInto(std::span<ScValue> values,
-                                       std::span<std::uint8_t> out) {
+void SwScBackend::decodePixelsInto(std::span<ScValue> values,
+                                   std::span<std::uint8_t> out) {
   if (values.size() != out.size()) {
     throw std::invalid_argument(
-        "SwScGateBackend::decodePixelsInto: destination size mismatch");
+        "SwScBackend::decodePixelsInto: destination size mismatch");
   }
   // log2(N)-bit output counter: popcount / N.
   for (std::size_t i = 0; i < values.size(); ++i) {
     out[i] = img::Image::fromProb(values[i].stream.value());
   }
-}
-
-// ---------------------------------------------------------------------------
-// SwScBackend: scalar stage-1 encode + serial CORDIV
-// ---------------------------------------------------------------------------
-
-SwScBackend::SwScBackend(const SwScConfig& config)
-    : SwScGateBackend(config),
-      lfsrSource_(sc::Lfsr::paper8Bit(1)),
-      sobolSource_(0, 1),
-      sfmtSource_(1) {
-  newEpoch();
-}
-
-const char* SwScBackend::name() const {
-  switch (config().sng) {
-    case SwScSng::Lfsr: return "SW-SC (LFSR)";
-    case SwScSng::Sobol: return "SW-SC (Sobol)";
-    case SwScSng::Sfmt: return "SW-SC (SFMT)";
-  }
-  return "SW-SC (?)";
-}
-
-void SwScBackend::newEpoch() {
-  ++epoch_;
-  switch (config().sng) {
-    case SwScSng::Lfsr:
-      lfsrSource_.reseed(swScLfsrSeedForEpoch(config().seed, epoch_));
-      epochSource_ = &lfsrSource_;
-      break;
-    case SwScSng::Sobol: {
-      const SwScSobolEpoch p = swScSobolForEpoch(config().seed, epoch_);
-      sobolSource_.reseat(p.dimension, p.skip);
-      epochSource_ = &sobolSource_;
-      break;
-    }
-    case SwScSng::Sfmt:
-      sfmtSource_.reseed(swScSfmtSeedForEpoch(config().seed, epoch_));
-      epochSource_ = &sfmtSource_;
-      break;
-  }
-  SwScGateBackend::onNewEpoch();
-}
-
-void SwScBackend::refreshEpochCache() {
-  if (epochCacheStamp_ == epoch_) return;
-  // Every stream of an epoch replays the same restarted source, so the
-  // comparator draws R_0..R_{N-1} are an epoch invariant: draw them once
-  // (identical call sequence to one generateSbs pass) and let the packed
-  // comparator evaluate each pixel word-level.  Forcing the portable mode
-  // keeps this the CMOS-SC design point executed with sane instructions —
-  // the AVX2 path remains the SwScSimd backend's own edge.
-  const std::size_t n = config().streamLength;
-  epochSource_->reset();
-  epochBytes_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    epochBytes_[i] = static_cast<std::uint8_t>(epochSource_->next(8));
-  }
-  epochPlanes_.assign(epochBytes_.data(), n, sc::SimdMode::Portable);
-  epochCacheStamp_ = epoch_;
-}
-
-void SwScBackend::encodePixelsInto(std::span<const std::uint8_t> values,
-                                   std::span<ScValue> out) {
-  if (values.size() != out.size()) {
-    throw std::invalid_argument(
-        "SwScBackend::encodePixelsInto: destination size mismatch");
-  }
-  newEpoch();
-  encodePixelsCorrelatedInto(values, out);
-}
-
-void SwScBackend::encodePixelsCorrelatedInto(
-    std::span<const std::uint8_t> values, std::span<ScValue> out) {
-  if (values.size() != out.size()) {
-    throw std::invalid_argument(
-        "SwScBackend::encodePixelsCorrelatedInto: destination size mismatch");
-  }
-  refreshEpochCache();
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    epochPlanes_.encode(swScPixelThreshold(values[i]), out[i].stream,
-                        sc::SimdMode::Portable);
-  }
-}
-
-void SwScBackend::divideStreamsInto(sc::Bitstream& dst,
-                                    const sc::Bitstream& num,
-                                    const sc::Bitstream& den) {
-  sc::cordivDivideInto(dst, num, den);
 }
 
 }  // namespace aimsc::core

@@ -1,23 +1,20 @@
 /// \file backend_swsc.hpp
 /// \brief ScBackend over the conventional CMOS SC pipeline: software SNGs
-///        (LFSR or Sobol + comparator), exact serial SC gates, counter
-///        S-to-B (the paper's Table III baseline design).
+///        (LFSR, Sobol or SFMT + comparator), exact serial SC gates,
+///        counter S-to-B (the paper's Table III baseline design).
 ///
 /// Randomness-epoch semantics mirror IMSNG's correlation control
 /// (Sec. II-B): each fresh-epoch encode instantiates a new random source
-/// (new LFSR seed / Sobol dimension+phase), and every stream of a batch is
-/// generated from that source *restarted*, so streams within an epoch are
-/// maximally correlated (SCC = +1) exactly like streams sharing TRNG
-/// planes — the precondition XOR subtraction and CORDIV need.
+/// (new LFSR seed / Sobol dimension+phase / SFMT seed), and every stream of
+/// a batch is generated from that source *restarted*, so streams within an
+/// epoch are maximally correlated (SCC = +1) exactly like streams sharing
+/// TRNG planes — the precondition XOR subtraction and CORDIV need.
 ///
 /// Constants (`encodeProb` / `halfStream`) do NOT burn randomness epochs:
 /// they are served from a `SwScConstantPool` — independently derived
 /// streams cached for the lifetime of the backend and rotated per epoch so
 /// repeated requests within one epoch stay mutually independent.  The
-/// epoch counter therefore advances only on data encodes, which keeps the
-/// scalar and SIMD SW-SC backends (`SwScSimdBackend`) in lock-step: both
-/// share the seed-derivation helpers below and produce bit-identical
-/// streams for the same `SwScConfig`.
+/// epoch counter therefore advances only on data encodes.
 ///
 /// Cost accounting: `opCount()` counts serial SC op passes (each N bit
 /// cycles in hardware); conversions and decodes are charged by the system
@@ -31,7 +28,7 @@
 #include "core/backend.hpp"
 #include "sc/bulk_sng.hpp"
 #include "sc/rng.hpp"
-#include "sc/sfmt.hpp"
+#include "sc/simd_caps.hpp"
 
 namespace aimsc::core {
 
@@ -39,22 +36,24 @@ namespace aimsc::core {
 /// are the paper's Table III CMOS baselines (they map onto
 /// `energy::CmosSng` for cost accounting); `Sfmt` is the SIMD-native
 /// SFMT-style source of sc/sfmt.hpp, whose 128-bit recurrence vectorizes
-/// across epochs in the word-parallel backend.
+/// across epochs.
 enum class SwScSng { Lfsr, Sobol, Sfmt };
 
 /// Human-readable family name ("LFSR" / "Sobol" / "SFMT").
 const char* swScSngName(SwScSng sng);
 
-/// Knobs shared by the scalar (`SwScBackend`) and SIMD (`SwScSimdBackend`)
-/// software-SC backends; identical configs yield bit-identical streams.
+/// Knobs of the software-SC backend.
 struct SwScConfig {
   std::size_t streamLength = 256;  ///< N (bits per stream)
   SwScSng sng = SwScSng::Lfsr;     ///< SNG randomness family
   std::uint64_t seed = 0x5eed;     ///< master seed
+  /// Instruction-set width; `Portable` forces the uint64 fallback
+  /// (testing, non-x86 hosts).  Every width emits the same bits.
+  sc::SimdMode simd = sc::SimdMode::Auto;
 };
 
-// --- seed derivation shared with the SIMD backend ---------------------------
-// One source of truth so the scalar and word-parallel paths cannot drift.
+// --- seed derivation ----------------------------------------------------------
+// Public so the per-bit test oracle derives the same epochs independently.
 
 /// LFSR seed for randomness epoch \p epoch (golden-ratio stride over the
 /// 254 usable nonzero seeds).
@@ -71,15 +70,11 @@ SwScSobolEpoch swScSobolForEpoch(std::uint64_t seed, std::uint64_t epoch);
 
 /// SFMT seed for randomness epoch \p epoch: the golden-ratio stride mixed
 /// through a splitmix64 finalizer, so every epoch gets a well-spread 32-bit
-/// seed (the SFMT initializer accepts any value, zero included).  Shared by
-/// the scalar source and every `BulkSfmt` lane, which is what keeps the
-/// scalar and SIMD epoch numbering in sync.
+/// seed (the SFMT initializer accepts any value, zero included).
 std::uint32_t swScSfmtSeedForEpoch(std::uint64_t seed, std::uint64_t epoch);
 
 /// Comparator threshold of an 8-bit pixel value, quantized exactly like
-/// the scalar per-bit path (`generateSbsFromProb(v/255, 8, n)`).  ONE
-/// table shared by the scalar and SIMD stage-1 encodes, so the two
-/// backends cannot drift in quantization.
+/// the per-bit path (`generateSbsFromProb(v/255, 8, n)`).
 std::uint32_t swScPixelThreshold(std::uint8_t v);
 
 /// Random source for the \p ordinal-th independent constant stream of
@@ -89,8 +84,8 @@ std::unique_ptr<sc::RandomSource> swScConstantSource(const SwScConfig& config,
                                                      std::uint32_t threshold,
                                                      std::uint32_t ordinal);
 
-/// Cache of constant streams (selects, coefficients, P=0.5 halves) shared
-/// by the scalar and SIMD SW-SC backends.
+/// Cache of constant streams (selects, coefficients, P=0.5 halves) of the
+/// SW-SC backend.
 ///
 /// Streams are generated once per (threshold, ordinal) pair and reused for
 /// the backend's lifetime — the hardware analogy is a bank of dedicated
@@ -129,14 +124,46 @@ class SwScConstantPool {
   std::uint64_t epochStamp_ = 1;
 };
 
-/// Common trunk of the scalar and SIMD SW-SC backends: the exact-MUX CMOS
-/// gate set over packed `Bitstream` words (already word-parallel), the
-/// pooled constants, the counter decode and the serial-pass accounting.
-/// Subclasses supply stage-1 encoding and the CORDIV realisation — the
-/// only places the two engines differ.
-class SwScGateBackend : public ScBackend {
+/// Software-SC execution engine (the Table III/IV "CMOS SC" baseline) for
+/// all four SW-SC designs: the SNG comparator construction executed with
+/// the batched SNG layer of sc/bulk_sng.hpp, the exact-MUX CMOS gate set
+/// over packed `Bitstream` words, pooled constants, the counter decode and
+/// serial-pass accounting.
+///
+///  * stage-1 encode: one `RandomPlanes` comparator pass per pixel
+///    (64 bits per word op, 32 per AVX2 compare, 64 per single AVX-512BW
+///    `vpcmpub`) — bit i is the comparator predicate R_i < X of the epoch's
+///    restarted source, exactly as `sc::generateSbs` builds it;
+///  * LFSR epochs are *prefetched in blocks*: one bulk pass advances 32
+///    (64 on AVX-512 hosts) future epochs' registers in lock-step
+///    (stream-major state, the MT19937-SIMD layout idiom);
+///  * SFMT epochs prefetch through `BulkSfmt`: 16 generators whose 128-bit
+///    recurrences run fused two (AVX2) or four (AVX-512) per register;
+///  * Sobol epochs draw their N comparator bytes once per epoch;
+///  * CORDIV is the word-level scan proven equal to the serial flip-flop
+///    (`sc::cordivDivide`, the reference the tests compare against).
+///
+/// All width paths are runtime-dispatched through `sc::resolveSimd` —
+/// `SimdMode::Auto` honours the `AIMSC_SIMD` override, explicit requests
+/// clamp down to what the host supports — and every path produces the
+/// same bits; width (and the prefetch depth it implies) is a pure perf
+/// knob, which is why it is never carried on the shard wire protocol.
+class SwScBackend final : public ScBackend {
  public:
-  explicit SwScGateBackend(const SwScConfig& config);
+  /// Engine for \p config; `name()` is the design of `config.sng`.
+  explicit SwScBackend(const SwScConfig& config);
+  /// Same engine labelled as \p design: `SwScSimd` is the `SwScLfsr`
+  /// design point under its own wire-stable selector.
+  SwScBackend(const SwScConfig& config, DesignKind design);
+
+  const char* name() const override;
+
+  /// Destination-passing stage-1 forms: the packed comparator writes each
+  /// pixel's stream into its warm arena slot (no per-pixel allocation).
+  void encodePixelsInto(std::span<const std::uint8_t> values,
+                        std::span<ScValue> out) override;
+  void encodePixelsCorrelatedInto(std::span<const std::uint8_t> values,
+                                  std::span<ScValue> out) override;
 
   // The packed-word gate set writes its result words straight into the
   // destination buffer (allocation-free on warm destinations).
@@ -164,72 +191,39 @@ class SwScGateBackend : public ScBackend {
   void doBernsteinSelectInto(ScValue& dst, std::span<const ScValue> xCopies,
                              std::span<const ScValue> coeffSelects) override;
 
-  /// CORDIV realisation (serial flip-flop or word-level scan; both emit
-  /// the same bits).
-  virtual void divideStreamsInto(sc::Bitstream& dst, const sc::Bitstream& num,
-                                 const sc::Bitstream& den) = 0;
-
-  const SwScConfig& config() const { return config_; }
-  /// Rewinds the constant pool; subclasses call this from their epoch
-  /// rollover.
-  void onNewEpoch() { constants_.onNewEpoch(); }
-
  private:
+  /// Starts a fresh randomness epoch, rebuilds the comparator planes and
+  /// rewinds the constant pool.
+  void newEpoch();
+  /// Refills the epoch prefetch block (LFSR or SFMT family) so lane 0
+  /// corresponds to \p epoch.
+  void refillBlock(std::uint64_t epoch);
+
   SwScConfig config_;
+  DesignKind design_;      ///< labels name()
+  sc::SimdMode resolved_;  ///< resolveSimd(config_.simd): prefetch depth
   SwScConstantPool constants_;
   std::uint64_t opPasses_ = 0;
-  sc::Bitstream tmpTop_;     ///< MUX-tree stage scratch (majMux4Into)
+  std::uint64_t epoch_ = 0;
+
+  sc::RandomPlanes planes_;  ///< current epoch's packed comparator state
+
+  /// Bulk epoch prefetch (LFSR and SFMT families): comparator sequences
+  /// for epochs [blockBase_, blockBase_ + blockLanes_), stream-major
+  /// (lane k = epoch blockBase_ + k), produced by one bulk-generator pass.
+  /// blockLanes_ is 32 LFSR lanes (64 when the resolved width is AVX-512 —
+  /// one 512-bit register per SWAR word pass) or BulkSfmt::kLanes.
+  std::vector<std::uint8_t> block_;
+  std::size_t blockLanes_ = 0;
+  std::uint64_t blockBase_ = 0;  ///< 0 = block not yet generated
+
+  std::vector<std::uint8_t> sobolBytes_;  ///< scratch for Sobol epochs
+
+  sc::Bitstream tmpTop_;  ///< MUX-tree stage scratch (majMux4Into)
   sc::Bitstream tmpBottom_;
   // Borrowed-pointer staging for the per-pixel Bernstein network.
   std::vector<const sc::Bitstream*> copyPtrScratch_;
   std::vector<const sc::Bitstream*> coeffPtrScratch_;
-};
-
-/// Scalar software-SC execution engine (the Table III/IV "CMOS SC"
-/// baseline): one virtual RNG call per stream bit.  `SwScSimdBackend` is
-/// the word-parallel drop-in replacement with identical output.
-class SwScBackend final : public SwScGateBackend {
- public:
-  explicit SwScBackend(const SwScConfig& config);
-
-  const char* name() const override;
-
-  /// Fused-row stage-1 forms: the epoch's comparator draw sequence
-  /// R_0..R_{N-1} is materialized ONCE per epoch (the per-stream source
-  /// restart makes every stream of the epoch replay the same draws), then
-  /// each pixel runs the word-level comparator over the cached bytes —
-  /// bit-identical to the per-bit path, without N virtual RNG calls per
-  /// pixel and without a single allocation on warm destinations.
-  void encodePixelsInto(std::span<const std::uint8_t> values,
-                        std::span<ScValue> out) override;
-  void encodePixelsCorrelatedInto(std::span<const std::uint8_t> values,
-                                  std::span<ScValue> out) override;
-
- protected:
-  void divideStreamsInto(sc::Bitstream& dst, const sc::Bitstream& num,
-                         const sc::Bitstream& den) override;
-
- private:
-  /// Starts a fresh randomness epoch (source re-seeded in place).
-  void newEpoch();
-  /// Ensures the epoch byte cache + comparator planes cover the current
-  /// epoch (one pass of N draws; see encodePixelsInto).
-  void refreshEpochCache();
-
-  /// Value-held randomness sources, re-seeded per epoch — the unique_ptr
-  /// churn of a source per epoch was the last steady-state allocation of
-  /// the scalar encode path.  Exactly one matches config().sng.
-  sc::Lfsr lfsrSource_;
-  sc::Sobol sobolSource_;
-  sc::Sfmt sfmtSource_;
-  sc::RandomSource* epochSource_ = nullptr;  ///< the active one
-  std::uint64_t epoch_ = 0;
-
-  /// Per-epoch comparator cache for the fused-row encode (portable
-  /// word-level packing; the SIMD backend's AVX2 path stays its own edge).
-  std::vector<std::uint8_t> epochBytes_;
-  sc::RandomPlanes epochPlanes_;
-  std::uint64_t epochCacheStamp_ = 0;  ///< epoch_ value the cache matches
 };
 
 }  // namespace aimsc::core

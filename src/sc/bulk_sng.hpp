@@ -4,7 +4,7 @@
 ///        packed bit-plane comparator dispatched over the full
 ///        portable / SSE2 / AVX2 / AVX-512BW ladder of sc/simd_caps.hpp.
 ///
-/// The scalar SW-SC path pays one virtual RNG call **per stream bit**
+/// The per-bit SNG path pays one virtual RNG call **per stream bit**
 /// (`generateSbs`: N calls of `RandomSource::next` per pixel).  This layer
 /// restructures the same comparator construction (Sec. II-B: bit i =
 /// R_i < X) into two batched stages:
@@ -48,7 +48,7 @@ namespace aimsc::sc {
 ///
 /// State layout is stream-major: register k lives in byte k of the packed
 /// `Lanes/8`-x-`uint64_t` state, so the shift/parity update touches every
-/// register with the same handful of word ops.  Used by the SIMD SW-SC
+/// register with the same handful of word ops.  Used by the SW-SC
 /// backend to prefetch the comparator sequences of the next `Lanes`
 /// randomness epochs in one pass.
 template <std::size_t Lanes>

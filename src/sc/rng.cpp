@@ -61,15 +61,6 @@ std::uint32_t Lfsr::next(int bits) {
 
 void Lfsr::reset() { state_ = seed_; }
 
-void Lfsr::reseed(std::uint32_t seed) {
-  const std::uint32_t mask =
-      width_ == 32 ? ~std::uint32_t{0} : (std::uint32_t{1} << width_) - 1;
-  const std::uint32_t masked = seed & mask;
-  if (masked == 0) throw std::invalid_argument("Lfsr: zero seed");
-  seed_ = masked;
-  state_ = masked;
-}
-
 std::unique_ptr<RandomSource> Lfsr::clone() const {
   auto copy = std::make_unique<Lfsr>(*this);
   copy->reset();
@@ -167,16 +158,6 @@ void Sobol::reset() {
   index_ = 0;
   current_ = 0;
   for (std::uint64_t i = 0; i < skip_; ++i) next32();
-}
-
-void Sobol::reseat(int dimension, std::uint64_t skip) {
-  if (dimension < 0 || dimension >= kMaxDimension) {
-    throw std::invalid_argument("Sobol: dimension out of range");
-  }
-  dimension_ = dimension;
-  skip_ = skip;
-  init();
-  reset();
 }
 
 std::unique_ptr<RandomSource> Sobol::clone() const {

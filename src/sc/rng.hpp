@@ -72,12 +72,6 @@ class Lfsr final : public RandomSource {
   /// Advances the register one step and returns the full-width state.
   std::uint32_t step();
 
-  /// Re-seeds the register in place (same validation as the constructor):
-  /// after the call the source replays exactly the sequence a freshly
-  /// constructed `Lfsr(width, taps, seed)` would.  Allocation-free — the
-  /// per-epoch rollover hook of the SW-SC hot path.
-  void reseed(std::uint32_t seed);
-
   std::uint32_t state() const { return state_; }
   int width() const { return width_; }
 
@@ -112,11 +106,6 @@ class Sobol final : public RandomSource {
 
   /// Next raw 32-bit Sobol value.
   std::uint32_t next32();
-
-  /// Re-points the source at (dimension, skip) in place — equivalent to
-  /// constructing `Sobol(dimension, skip)` but allocation-free (the SW-SC
-  /// hot path's per-epoch rollover).
-  void reseat(int dimension, std::uint64_t skip);
 
  private:
   void init();

@@ -64,8 +64,7 @@ class Sfmt final : public RandomSource {
   /// Next raw 32-bit output word.
   std::uint32_t next32();
 
-  /// Re-seeds in place (same state as a freshly constructed `Sfmt(seed)`);
-  /// allocation-free — the per-epoch rollover hook of the SW-SC hot path.
+  /// Re-seeds in place (same state as a freshly constructed `Sfmt(seed)`).
   void reseed(std::uint32_t seed);
 
  private:
@@ -77,7 +76,7 @@ class Sfmt final : public RandomSource {
 };
 
 /// Batch of `kLanes` independent SFMT-style generators producing the
-/// stream-major comparator-draw block the SIMD SW-SC backend prefetches
+/// stream-major comparator-draw block the SW-SC backend prefetches
 /// (lane k = randomness epoch base+k), exactly like `BulkLfsr` does for
 /// the LFSR family.
 ///

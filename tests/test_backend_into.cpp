@@ -2,12 +2,11 @@
 // must produce EXACTLY the payloads, randomness epochs and event/op
 // accounting of an independent per-substrate oracle, and every fused app
 // kernel those of the pre-arena (PR-4) allocating row loops, kept verbatim
-// below.
+// below and run on the same oracles.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <ostream>
 #include <span>
@@ -28,14 +27,16 @@
 #include "img/synth.hpp"
 #include "reliability/fault_plan.hpp"
 #include "sc/bernstein.hpp"
-#include "sc/cordiv.hpp"
-#include "sc/ops.hpp"
-#include "sc/rng.hpp"
-#include "sc/sfmt.hpp"
-#include "sc/sng.hpp"
+
+#include "op_oracle.hpp"
 
 namespace aimsc::core {
 namespace {
+
+using oracle::OpSurface;
+using oracle::streamsOf;
+using oracle::SurfaceBackend;
+using oracle::SwScBitOracle;
 
 // --- op-level conformance against independent oracles -----------------------
 //
@@ -45,45 +46,14 @@ namespace {
 // shares no code with them:
 //  * ReramSc: a twin core::Accelerator with the same AcceleratorConfig,
 //    driven through its own allocating API (encodePixels, ops(), decode);
-//  * SwSc LFSR/Sobol/SFMT: per-bit sc::generateSbsFromProb over the
-//    swSc*ForEpoch seeds, the sc::sc* allocating gates and serial
-//    sc::cordivDivide, with the documented opCount charges;
-//  * SwScSimd: the per-bit LFSR oracle, and the scalar SwScLfsr backend;
+//  * SwSc LFSR/Sobol/SFMT (and SwScSimd, the LFSR design point): per-bit
+//    sc::generateSbsFromProb over the swSc*ForEpoch seeds, the sc::sc*
+//    allocating gates and serial sc::cordivDivide, with the documented
+//    opCount charges (op_oracle.hpp), at SimdMode Auto and Portable;
 //  * Reference and BinaryCim: closed-form arithmetic written out below.
 
 constexpr std::size_t kOracleN = 256;
 constexpr std::uint64_t kOracleSeed = 0xabcd;
-
-/// The op vocabulary the script drives (values by copy, so every
-/// implementation is free to allocate).
-class OpSurface {
- public:
-  virtual ~OpSurface() = default;
-  virtual std::vector<ScValue> encode(std::span<const std::uint8_t> values,
-                                      bool freshEpoch) = 0;
-  virtual ScValue encodeProb(double p) = 0;
-  virtual ScValue half() = 0;
-  virtual std::vector<ScValue> copies(std::uint8_t v, std::size_t k) = 0;
-  virtual ScValue multiply(const ScValue& x, const ScValue& y) = 0;
-  virtual ScValue scaledAdd(const ScValue& x, const ScValue& y,
-                            const ScValue& h) = 0;
-  virtual ScValue addApprox(const ScValue& x, const ScValue& y) = 0;
-  virtual ScValue absSub(const ScValue& x, const ScValue& y) = 0;
-  virtual ScValue minimum(const ScValue& x, const ScValue& y) = 0;
-  virtual ScValue maximum(const ScValue& x, const ScValue& y) = 0;
-  virtual ScValue majMux(const ScValue& x, const ScValue& y,
-                         const ScValue& s) = 0;
-  virtual ScValue majMux4(const ScValue& a, const ScValue& b,
-                          const ScValue& c, const ScValue& d,
-                          const ScValue& sx, const ScValue& sy) = 0;
-  virtual ScValue divide(const ScValue& num, const ScValue& den) = 0;
-  virtual ScValue bernstein(const std::vector<ScValue>& xCopies,
-                            const std::vector<ScValue>& coeffs) = 0;
-  virtual std::vector<std::uint8_t> decode(std::vector<ScValue> values,
-                                           bool stored) = 0;
-  virtual reram::EventCounts events() const { return reram::EventCounts{}; }
-  virtual std::uint64_t opCount() const = 0;
-};
 
 /// Everything the script observed, in call order.
 struct OpTrace {
@@ -243,12 +213,6 @@ class IntoDriver final : public OpSurface {
   ScBackend& b_;
 };
 
-std::vector<sc::Bitstream> streamsOf(const std::vector<ScValue>& values) {
-  std::vector<sc::Bitstream> out;
-  for (const ScValue& v : values) out.push_back(v.stream);
-  return out;
-}
-
 std::vector<ScValue> wrapStreams(std::vector<sc::Bitstream> streams) {
   std::vector<ScValue> out;
   for (auto& s : streams) out.push_back(ScValue::ofStream(std::move(s)));
@@ -324,128 +288,6 @@ class ReramOracle final : public OpSurface {
 
  private:
   Accelerator acc_;
-};
-
-/// ADC-free counter decode of a software stream: round(popcount / N * 255).
-std::uint8_t counterDecode(const sc::Bitstream& s) {
-  const double p =
-      static_cast<double>(s.popcount()) / static_cast<double>(s.size());
-  return static_cast<std::uint8_t>(std::lround(p * 255.0));
-}
-
-/// Per-bit SW-SC oracle: one freshly seeded source per stream (the
-/// restarted epoch source), the constant bank rotation per epoch, the sc::
-/// allocating gates and one opCount charge per serial gate pass.
-class SwScBitOracle final : public OpSurface {
- public:
-  explicit SwScBitOracle(SwScSng sng) {
-    config_.streamLength = kOracleN;
-    config_.sng = sng;
-    config_.seed = kOracleSeed;
-    newEpoch();  // the backend opens epoch 1 at construction
-  }
-  std::vector<ScValue> encode(std::span<const std::uint8_t> values,
-                              bool freshEpoch) override {
-    if (freshEpoch) newEpoch();
-    std::vector<ScValue> out;
-    for (const std::uint8_t v : values) out.push_back(pixel(v));
-    return out;
-  }
-  ScValue encodeProb(double p) override {
-    const std::uint32_t x = sc::quantizeProbability(p, 8);
-    const std::uint32_t ordinal = used_[x]++;
-    const auto src = swScConstantSource(config_, x, ordinal);
-    return ScValue::ofStream(sc::generateSbsFromProb(*src, p, 8, kOracleN));
-  }
-  ScValue half() override { return encodeProb(0.5); }
-  std::vector<ScValue> copies(std::uint8_t v, std::size_t k) override {
-    std::vector<ScValue> out;
-    for (std::size_t i = 0; i < k; ++i) {
-      newEpoch();
-      out.push_back(pixel(v));
-    }
-    return out;
-  }
-  ScValue multiply(const ScValue& x, const ScValue& y) override {
-    return pass(1, sc::scMultiply(x.stream, y.stream));
-  }
-  ScValue scaledAdd(const ScValue& x, const ScValue& y,
-                    const ScValue& h) override {
-    return pass(1, sc::scScaledAddMux(x.stream, y.stream, h.stream));
-  }
-  ScValue addApprox(const ScValue& x, const ScValue& y) override {
-    return pass(1, sc::scAddOr(x.stream, y.stream));
-  }
-  ScValue absSub(const ScValue& x, const ScValue& y) override {
-    return pass(1, sc::scAbsSub(x.stream, y.stream));
-  }
-  ScValue minimum(const ScValue& x, const ScValue& y) override {
-    return pass(1, sc::scMin(x.stream, y.stream));
-  }
-  ScValue maximum(const ScValue& x, const ScValue& y) override {
-    return pass(1, sc::scMax(x.stream, y.stream));
-  }
-  ScValue majMux(const ScValue& x, const ScValue& y,
-                 const ScValue& s) override {
-    return pass(1, sc::Bitstream::mux(x.stream, y.stream, s.stream));
-  }
-  ScValue majMux4(const ScValue& a, const ScValue& b, const ScValue& c,
-                  const ScValue& d, const ScValue& sx,
-                  const ScValue& sy) override {
-    return pass(3, sc::scMux4(a.stream, b.stream, c.stream, d.stream,
-                              sx.stream, sy.stream));
-  }
-  ScValue divide(const ScValue& num, const ScValue& den) override {
-    return pass(1, sc::cordivDivide(num.stream, den.stream));
-  }
-  ScValue bernstein(const std::vector<ScValue>& xCopies,
-                    const std::vector<ScValue>& coeffs) override {
-    // One pass per level of the (copies + coeffs - 1)-deep select network.
-    return pass(xCopies.size() + coeffs.size() - 1,
-                sc::scBernsteinSelect(streamsOf(xCopies), streamsOf(coeffs)));
-  }
-  std::vector<std::uint8_t> decode(std::vector<ScValue> values,
-                                   bool /*stored*/) override {
-    std::vector<std::uint8_t> out;
-    for (const ScValue& v : values) out.push_back(counterDecode(v.stream));
-    return out;
-  }
-  std::uint64_t opCount() const override { return passes_; }
-
- private:
-  void newEpoch() {
-    ++epoch_;
-    used_.clear();  // the constant bank rewinds every epoch
-  }
-  std::unique_ptr<sc::RandomSource> epochSource() const {
-    switch (config_.sng) {
-      case SwScSng::Lfsr:
-        return std::make_unique<sc::Lfsr>(
-            sc::Lfsr::paper8Bit(swScLfsrSeedForEpoch(kOracleSeed, epoch_)));
-      case SwScSng::Sobol: {
-        const SwScSobolEpoch e = swScSobolForEpoch(kOracleSeed, epoch_);
-        return std::make_unique<sc::Sobol>(e.dimension, e.skip);
-      }
-      case SwScSng::Sfmt:
-        return std::make_unique<sc::Sfmt>(
-            swScSfmtSeedForEpoch(kOracleSeed, epoch_));
-    }
-    return nullptr;
-  }
-  ScValue pixel(std::uint8_t v) const {
-    const auto src = epochSource();
-    return ScValue::ofStream(sc::generateSbsFromProb(
-        *src, static_cast<double>(v) / 255.0, 8, kOracleN));
-  }
-  ScValue pass(std::uint64_t passes, sc::Bitstream s) {
-    passes_ += passes;
-    return ScValue::ofStream(std::move(s));
-  }
-
-  SwScConfig config_;
-  std::uint64_t epoch_ = 0;
-  std::map<std::uint32_t, std::uint32_t> used_;
-  std::uint64_t passes_ = 0;
 };
 
 /// Exact-probability oracle: the ideal value of every op.
@@ -646,18 +488,26 @@ BackendFactoryConfig oracleFactoryConfig(const OracleCase& c) {
   return cfg;
 }
 
-std::unique_ptr<OpSurface> makeOracle(const OracleCase& c) {
-  switch (c.design) {
+/// The independent oracle of \p design, configured like a backend built
+/// by `makeBackend(design, cfg)`.
+std::unique_ptr<OpSurface> makeOracle(DesignKind design,
+                                      const BackendFactoryConfig& cfg) {
+  SwScConfig sw;
+  sw.streamLength = cfg.streamLength;
+  sw.seed = cfg.seed;
+  switch (design) {
     case DesignKind::Reference: return std::make_unique<ReferenceOracle>();
     case DesignKind::SwScLfsr:
     case DesignKind::SwScSimd:
-      return std::make_unique<SwScBitOracle>(SwScSng::Lfsr);
+      sw.sng = SwScSng::Lfsr;
+      return std::make_unique<SwScBitOracle>(sw);
     case DesignKind::SwScSobol:
-      return std::make_unique<SwScBitOracle>(SwScSng::Sobol);
+      sw.sng = SwScSng::Sobol;
+      return std::make_unique<SwScBitOracle>(sw);
     case DesignKind::SwScSfmt:
-      return std::make_unique<SwScBitOracle>(SwScSng::Sfmt);
+      sw.sng = SwScSng::Sfmt;
+      return std::make_unique<SwScBitOracle>(sw);
     case DesignKind::ReramSc: {
-      const BackendFactoryConfig cfg = oracleFactoryConfig(c);
       AcceleratorConfig ac;
       ac.streamLength = cfg.streamLength;
       ac.seed = cfg.seed;
@@ -690,7 +540,8 @@ TEST_P(IntoOracle, EveryIntoOpMatchesIndependentOracle) {
   const auto backend = makeBackend(GetParam().design,
                                    oracleFactoryConfig(GetParam()));
   IntoDriver into(*backend);
-  const auto oracle = makeOracle(GetParam());
+  const auto oracle =
+      makeOracle(GetParam().design, oracleFactoryConfig(GetParam()));
   const OpTrace got = runOpScript(into);
   const OpTrace want = runOpScript(*oracle);
   expectSameTrace(got, want);
@@ -703,15 +554,21 @@ TEST_P(IntoOracle, EveryIntoOpMatchesIndependentOracle) {
   }
 }
 
-TEST(IntoOracleSimd, SwScSimdMatchesScalarLfsrCallForCall) {
-  BackendFactoryConfig cfg;
-  cfg.streamLength = kOracleN;
-  cfg.seed = kOracleSeed;
-  const auto simd = makeBackend(DesignKind::SwScSimd, cfg);
-  const auto scalar = makeBackend(DesignKind::SwScLfsr, cfg);
-  IntoDriver simdInto(*simd);
-  IntoDriver scalarInto(*scalar);
-  expectSameTrace(runOpScript(simdInto), runOpScript(scalarInto));
+TEST(IntoOracleSwSc, PortablePathMatchesPerBitOracleForEverySngFamily) {
+  // The factory cases above run the widest SIMD path (Auto); this pins the
+  // portable uint64 comparator of every SNG family to the same oracle.
+  for (const SwScSng sng : {SwScSng::Lfsr, SwScSng::Sobol, SwScSng::Sfmt}) {
+    SwScConfig cfg;
+    cfg.streamLength = kOracleN;
+    cfg.sng = sng;
+    cfg.seed = kOracleSeed;
+    cfg.simd = sc::SimdMode::Portable;
+    SwScBackend backend(cfg);
+    IntoDriver into(backend);
+    SwScBitOracle oracle(cfg);
+    SCOPED_TRACE(swScSngName(sng));
+    expectSameTrace(runOpScript(into), runOpScript(oracle));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -804,7 +661,11 @@ INSTANTIATE_TEST_SUITE_P(
 // --- kernel-level conformance: fused vs verbatim allocating loops -----------
 //
 // Each seed* function is the pre-arena (PR-4) allocating kernel body,
-// running against the allocating backend API only.
+// written against the allocating backend API only.  It runs on the
+// design's op-level oracle (through SurfaceBackend), never on the backend
+// under test: the allocating forms are wrappers over the same *Into ops the
+// fused kernels call, so a backend-driven seed loop would share every op
+// with the kernel it checks.
 
 img::Image seedComposite(const apps::CompositingScene& scene, ScBackend& b) {
   const std::size_t w = scene.background.width();
@@ -993,11 +854,19 @@ img::Image seedMorph(const img::Image& src, ScBackend& b, Fold&& fold) {
 
 class FusedKernelConformance : public ::testing::TestWithParam<DesignKind> {
  protected:
-  std::unique_ptr<ScBackend> make() const {
+  static BackendFactoryConfig config() {
     BackendFactoryConfig cfg;
     cfg.streamLength = 128;
     cfg.seed = 0x77;
-    return makeBackend(GetParam(), cfg);
+    return cfg;
+  }
+  /// The backend under test (runs the fused kernel).
+  std::unique_ptr<ScBackend> make() const {
+    return makeBackend(GetParam(), config());
+  }
+  /// Its op-level oracle (runs the seed loop).
+  std::unique_ptr<ScBackend> oracle() const {
+    return std::make_unique<SurfaceBackend>(makeOracle(GetParam(), config()));
   }
 };
 
@@ -1007,7 +876,7 @@ TEST_P(FusedKernelConformance, AllSevenKernelsMatchAllocatingOracles) {
   const img::Image src = img::naturalScene(12, 9, 21);
 
   {
-    auto a = make();
+    auto a = oracle();
     auto f = make();
     EXPECT_EQ(apps::compositeKernel(scene, *f).pixels(),
               seedComposite(scene, *a).pixels())
@@ -1016,7 +885,7 @@ TEST_P(FusedKernelConformance, AllSevenKernelsMatchAllocatingOracles) {
     EXPECT_EQ(a->opCount(), f->opCount());
   }
   {
-    auto a = make();
+    auto a = oracle();
     auto f = make();
     EXPECT_EQ(apps::upscaleKernel(src, 2, *f).pixels(),
               seedUpscale(src, 2, *a).pixels())
@@ -1024,7 +893,7 @@ TEST_P(FusedKernelConformance, AllSevenKernelsMatchAllocatingOracles) {
     EXPECT_EQ(a->events(), f->events());
   }
   {
-    auto a = make();
+    auto a = oracle();
     auto f = make();
     EXPECT_EQ(apps::mattingKernel(mscene, *f).pixels(),
               seedMatting(mscene, *a).pixels())
@@ -1032,7 +901,7 @@ TEST_P(FusedKernelConformance, AllSevenKernelsMatchAllocatingOracles) {
     EXPECT_EQ(a->events(), f->events());
   }
   {
-    auto a = make();
+    auto a = oracle();
     auto f = make();
     EXPECT_EQ(apps::smoothKernel(src, *f).pixels(),
               seedSmooth(src, *a).pixels())
@@ -1040,14 +909,14 @@ TEST_P(FusedKernelConformance, AllSevenKernelsMatchAllocatingOracles) {
     EXPECT_EQ(a->events(), f->events());
   }
   {
-    auto a = make();
+    auto a = oracle();
     auto f = make();
     EXPECT_EQ(apps::edgeKernel(src, *f).pixels(), seedEdge(src, *a).pixels())
         << "edge";
     EXPECT_EQ(a->events(), f->events());
   }
   {
-    auto a = make();
+    auto a = oracle();
     auto f = make();
     EXPECT_EQ(apps::gammaKernel(src, 2.2, *f, 4).pixels(),
               seedGamma(src, 2.2, *a, 4).pixels())
@@ -1056,7 +925,7 @@ TEST_P(FusedKernelConformance, AllSevenKernelsMatchAllocatingOracles) {
     EXPECT_EQ(a->opCount(), f->opCount());
   }
   {
-    auto a = make();
+    auto a = oracle();
     auto f = make();
     const auto minFold = [](ScBackend& b, const ScValue& x, const ScValue& y) {
       return b.minimum(x, y);
@@ -1067,7 +936,7 @@ TEST_P(FusedKernelConformance, AllSevenKernelsMatchAllocatingOracles) {
     EXPECT_EQ(a->events(), f->events());
   }
   {
-    auto a = make();
+    auto a = oracle();
     auto f = make();
     const auto maxFold = [](ScBackend& b, const ScValue& x, const ScValue& y) {
       return b.maximum(x, y);

@@ -1,14 +1,17 @@
-// SIMD-batched SW-SC backend suite: the bulk SNG layer reproduces the
-// scalar sources bit for bit, the word-level CORDIV equals the serial
-// flip-flop, SwScSimd is bit-identical to the scalar SW-SC backends on all
-// four apps, every width on the SSE2/AVX2/AVX-512 ladder agrees with the
-// portable fallback, and tiled runs are deterministic across worker-thread
-// counts.
+// SW-SC engine suite: the bulk SNG layer reproduces the per-bit sources
+// bit for bit, the word-level CORDIV equals the serial flip-flop, the
+// engine matches the per-bit oracle of op_oracle.hpp on all four apps for
+// every SNG family at the portable and the widest width (across epoch
+// prefetch-block refills), every width on the SSE2/AVX2/AVX-512 ladder
+// agrees with the portable fallback, and tiled runs are deterministic
+// across worker-thread counts.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
 #include <random>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "apps/bilinear.hpp"
@@ -18,7 +21,6 @@
 #include "apps/runner.hpp"
 #include "core/backend.hpp"
 #include "core/backend_swsc.hpp"
-#include "core/backend_swsc_simd.hpp"
 #include "core/tile_executor.hpp"
 #include "img/synth.hpp"
 #include "sc/bulk_sng.hpp"
@@ -26,14 +28,14 @@
 #include "sc/rng.hpp"
 #include "sc/sng.hpp"
 
+#include "op_oracle.hpp"
+
 namespace aimsc {
 namespace {
 
 using core::DesignKind;
 using core::ScBackend;
 using core::SwScConfig;
-using core::SwScSimdBackend;
-using core::SwScSimdConfig;
 
 // --- bulk PRNG layer --------------------------------------------------------
 
@@ -188,132 +190,131 @@ TEST(CordivWordLevel, MatchesSerialFlipFlop) {
   }
 }
 
-// --- SwScSimd vs scalar SW-SC: bit-identical apps ---------------------------
+// --- the engine vs the per-bit oracle: bit-identical apps -------------------
 
-std::unique_ptr<ScBackend> scalarBackend(core::SwScSng sng,
-                                         std::uint64_t seed, std::size_t n) {
+SwScConfig swScConfig(core::SwScSng sng, std::uint64_t seed, std::size_t n,
+                      sc::SimdMode mode = sc::SimdMode::Auto) {
   SwScConfig cfg;
   cfg.streamLength = n;
   cfg.sng = sng;
   cfg.seed = seed;
-  return std::make_unique<core::SwScBackend>(cfg);
-}
-
-std::unique_ptr<ScBackend> simdBackend(core::SwScSng sng, std::uint64_t seed,
-                                       std::size_t n,
-                                       sc::SimdMode mode = sc::SimdMode::Auto) {
-  SwScSimdConfig cfg;
-  cfg.streamLength = n;
-  cfg.sng = sng;
-  cfg.seed = seed;
   cfg.simd = mode;
-  return std::make_unique<SwScSimdBackend>(cfg);
+  return cfg;
 }
 
-class SimdScalarEquivalence
-    : public ::testing::TestWithParam<core::SwScSng> {};
+std::unique_ptr<ScBackend> engine(core::SwScSng sng, std::uint64_t seed,
+                                  std::size_t n,
+                                  sc::SimdMode mode = sc::SimdMode::Auto) {
+  return std::make_unique<core::SwScBackend>(swScConfig(sng, seed, n, mode));
+}
 
-TEST_P(SimdScalarEquivalence, AllFourAppsBitIdenticalAt64) {
-  const auto sng = GetParam();
+std::unique_ptr<ScBackend> bitOracle(core::SwScSng sng, std::uint64_t seed,
+                                     std::size_t n) {
+  return oracle::swScBitOracleBackend(swScConfig(sng, seed, n));
+}
+
+using EngineCase = std::tuple<core::SwScSng, sc::SimdMode>;
+
+class EngineMatchesBitOracle : public ::testing::TestWithParam<EngineCase> {};
+
+TEST_P(EngineMatchesBitOracle, AllFourAppsBitIdenticalAt64) {
+  // 64 rows of compositing open 128 fresh epochs per backend and matting
+  // 64: more than one prefetch block (32 or 64 LFSR epochs, 16 SFMT), so
+  // every family crosses block refills.  Output bytes and the serial-pass
+  // ledger must equal the per-bit oracle's.
+  const auto [sng, mode] = GetParam();
   const std::uint64_t seed = 0x5eed;
   const std::size_t n = 256;
+  const auto check = [&](const char* app, auto&& kernel) {
+    const auto e = engine(sng, seed, n, mode);
+    const auto o = bitOracle(sng, seed, n);
+    EXPECT_EQ(kernel(*e).pixels(), kernel(*o).pixels()) << app;
+    EXPECT_EQ(e->opCount(), o->opCount()) << app;
+    EXPECT_GT(e->opCount(), 0u) << app;
+  };
 
   const apps::CompositingScene scene = apps::makeCompositingScene(64, 64, 21);
-  EXPECT_EQ(apps::compositeKernel(scene, *simdBackend(sng, seed, n)).pixels(),
-            apps::compositeKernel(scene, *scalarBackend(sng, seed, n)).pixels());
-
+  check("compositing",
+        [&](ScBackend& b) { return apps::compositeKernel(scene, b); });
   const img::Image src = img::naturalScene(32, 32, 4);
-  EXPECT_EQ(apps::upscaleKernel(src, 2, *simdBackend(sng, seed, n)).pixels(),
-            apps::upscaleKernel(src, 2, *scalarBackend(sng, seed, n)).pixels());
-
+  check("bilinear",
+        [&](ScBackend& b) { return apps::upscaleKernel(src, 2, b); });
   const apps::MattingScene mat = apps::makeMattingScene(64, 64, 8);
-  EXPECT_EQ(apps::mattingKernel(mat, *simdBackend(sng, seed, n)).pixels(),
-            apps::mattingKernel(mat, *scalarBackend(sng, seed, n)).pixels());
-
-  EXPECT_EQ(apps::smoothKernel(src, *simdBackend(sng, seed, n)).pixels(),
-            apps::smoothKernel(src, *scalarBackend(sng, seed, n)).pixels());
+  check("matting", [&](ScBackend& b) { return apps::mattingKernel(mat, b); });
+  check("smoothing", [&](ScBackend& b) { return apps::smoothKernel(src, b); });
 }
 
-INSTANTIATE_TEST_SUITE_P(AllSngFamilies, SimdScalarEquivalence,
-                         ::testing::Values(core::SwScSng::Lfsr,
-                                           core::SwScSng::Sobol,
-                                           core::SwScSng::Sfmt),
-                         [](const auto& info) {
-                           switch (info.param) {
-                             case core::SwScSng::Lfsr: return "Lfsr";
-                             case core::SwScSng::Sobol: return "Sobol";
-                             case core::SwScSng::Sfmt: return "Sfmt";
-                           }
-                           return "?";
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    AllSngFamilies, EngineMatchesBitOracle,
+    ::testing::Combine(::testing::Values(core::SwScSng::Lfsr,
+                                         core::SwScSng::Sobol,
+                                         core::SwScSng::Sfmt),
+                       ::testing::Values(sc::SimdMode::Portable,
+                                         sc::SimdMode::Auto)),
+    [](const ::testing::TestParamInfo<EngineCase>& info) {
+      return std::string(core::swScSngName(std::get<0>(info.param))) + "_" +
+             sc::simdModeName(std::get<1>(info.param));
+    });
 
-TEST(SwScSimdBackend, PortableFallbackBitIdenticalOnAnApp) {
+TEST(SwScEngine, PortableFallbackBitIdenticalOnAnApp) {
   const apps::CompositingScene scene = apps::makeCompositingScene(32, 32, 3);
   const auto fast = apps::compositeKernel(
-      scene, *simdBackend(core::SwScSng::Lfsr, 11, 256, sc::SimdMode::Auto));
+      scene, *engine(core::SwScSng::Lfsr, 11, 256, sc::SimdMode::Auto));
   const auto slow = apps::compositeKernel(
-      scene,
-      *simdBackend(core::SwScSng::Lfsr, 11, 256, sc::SimdMode::Portable));
+      scene, *engine(core::SwScSng::Lfsr, 11, 256, sc::SimdMode::Portable));
   EXPECT_EQ(fast.pixels(), slow.pixels());
 }
 
-TEST(SwScSimdBackend, EpochPrefetchSurvivesManyEpochs) {
-  // > BulkLfsr8::kLanes fresh epochs forces at least two block refills.
+TEST(SwScEngine, EpochPrefetchSurvivesManyEpochs) {
+  // > BulkLfsr8Wide::kLanes fresh epochs forces at least two block
+  // refills at either prefetch depth.
   const std::size_t n = 128;
-  const auto simd = simdBackend(core::SwScSng::Lfsr, 5, n);
-  const auto scalar = scalarBackend(core::SwScSng::Lfsr, 5, n);
-  for (int e = 0; e < 80; ++e) {
-    const std::vector<std::uint8_t> v{static_cast<std::uint8_t>(e * 3)};
-    auto a = simd->encodePixels(v);
-    auto b = scalar->encodePixels(v);
-    ASSERT_EQ(a[0].stream, b[0].stream) << "epoch " << e;
-  }
-}
-
-TEST(SwScSimdBackend, SfmtEpochNumberingStaysInSyncAcrossBlocks) {
-  // SFMT epoch-numbering conformance: > BulkSfmt::kLanes fresh epochs per
-  // width forces multiple prefetch-block refills, and every epoch's stream
-  // must equal the scalar SFMT backend's — for each width on the ladder.
-  const std::size_t n = 96;
-  for (const sc::SimdMode mode :
-       {sc::SimdMode::Auto, sc::SimdMode::Portable, sc::SimdMode::Sse2,
-        sc::SimdMode::Avx2, sc::SimdMode::Avx512}) {
-    const auto simd = simdBackend(core::SwScSng::Sfmt, 5, n, mode);
-    const auto scalar = scalarBackend(core::SwScSng::Sfmt, 5, n);
-    for (int e = 0; e < 40; ++e) {
-      const std::vector<std::uint8_t> v{static_cast<std::uint8_t>(e * 7)};
-      auto a = simd->encodePixels(v);
-      auto b = scalar->encodePixels(v);
+  for (const sc::SimdMode mode : {sc::SimdMode::Portable, sc::SimdMode::Auto}) {
+    const auto e = engine(core::SwScSng::Lfsr, 5, n, mode);
+    const auto o = bitOracle(core::SwScSng::Lfsr, 5, n);
+    for (int epoch = 0; epoch < 150; ++epoch) {
+      const std::vector<std::uint8_t> v{static_cast<std::uint8_t>(epoch * 3)};
+      auto a = e->encodePixels(v);
+      auto b = o->encodePixels(v);
       ASSERT_EQ(a[0].stream, b[0].stream)
-          << "mode " << sc::simdModeName(mode) << " epoch " << e;
+          << "mode " << sc::simdModeName(mode) << " epoch " << epoch;
     }
   }
 }
 
-TEST(SwScSimdBackend, EveryWidthBitIdenticalOnAnApp) {
+TEST(SwScEngine, SfmtEpochNumberingStaysInSyncAcrossBlocks) {
+  // SFMT epoch-numbering conformance: > BulkSfmt::kLanes fresh epochs per
+  // width forces multiple prefetch-block refills, and every epoch's stream
+  // must equal the per-bit SFMT oracle's — for each width on the ladder.
+  const std::size_t n = 96;
+  for (const sc::SimdMode mode :
+       {sc::SimdMode::Auto, sc::SimdMode::Portable, sc::SimdMode::Sse2,
+        sc::SimdMode::Avx2, sc::SimdMode::Avx512}) {
+    const auto e = engine(core::SwScSng::Sfmt, 5, n, mode);
+    const auto o = bitOracle(core::SwScSng::Sfmt, 5, n);
+    for (int epoch = 0; epoch < 40; ++epoch) {
+      const std::vector<std::uint8_t> v{static_cast<std::uint8_t>(epoch * 7)};
+      auto a = e->encodePixels(v);
+      auto b = o->encodePixels(v);
+      ASSERT_EQ(a[0].stream, b[0].stream)
+          << "mode " << sc::simdModeName(mode) << " epoch " << epoch;
+    }
+  }
+}
+
+TEST(SwScEngine, EveryWidthBitIdenticalOnAnApp) {
   // Width sweep at the app level: each explicit rung (clamped down on weak
   // hosts) reproduces the portable run bit for bit.
   const apps::CompositingScene scene = apps::makeCompositingScene(32, 32, 9);
   const auto base = apps::compositeKernel(
-      scene,
-      *simdBackend(core::SwScSng::Lfsr, 13, 256, sc::SimdMode::Portable));
+      scene, *engine(core::SwScSng::Lfsr, 13, 256, sc::SimdMode::Portable));
   for (const sc::SimdMode mode :
        {sc::SimdMode::Sse2, sc::SimdMode::Avx2, sc::SimdMode::Avx512}) {
     const auto got = apps::compositeKernel(
-        scene, *simdBackend(core::SwScSng::Lfsr, 13, 256, mode));
+        scene, *engine(core::SwScSng::Lfsr, 13, 256, mode));
     EXPECT_EQ(got.pixels(), base.pixels())
         << "mode " << sc::simdModeName(mode);
   }
-}
-
-TEST(SwScSimdBackend, OpCountMatchesScalar) {
-  const apps::CompositingScene scene = apps::makeCompositingScene(16, 16, 2);
-  const auto simd = simdBackend(core::SwScSng::Lfsr, 7, 128);
-  const auto scalar = scalarBackend(core::SwScSng::Lfsr, 7, 128);
-  apps::compositeKernel(scene, *simd);
-  apps::compositeKernel(scene, *scalar);
-  EXPECT_GT(simd->opCount(), 0u);
-  EXPECT_EQ(simd->opCount(), scalar->opCount());
 }
 
 // --- constants / epoch-numbering fix ----------------------------------------
@@ -324,7 +325,7 @@ TEST(SwScConstants, HalfStreamDoesNotDesynchronizeEpochs) {
   // measures the exact difference.
   for (const auto sng :
        {core::SwScSng::Lfsr, core::SwScSng::Sobol, core::SwScSng::Sfmt}) {
-    const auto b = scalarBackend(sng, 0x44, 2048);
+    const auto b = engine(sng, 0x44, 2048);
     const auto x = b->encodePixels(std::vector<std::uint8_t>{204});
     (void)b->halfStream();
     (void)b->encodeProb(0.25);
@@ -337,7 +338,7 @@ TEST(SwScConstants, HalfStreamDoesNotDesynchronizeEpochs) {
 TEST(SwScConstants, RepeatedHalvesAreIndependentWithinAnEpoch) {
   // The smoothing kernel draws seven halves per row; they must be mutually
   // independent (a shared select stream would collapse the MUX tree).
-  const auto b = scalarBackend(core::SwScSng::Lfsr, 0x7a, 2048);
+  const auto b = engine(core::SwScSng::Lfsr, 0x7a, 2048);
   const auto h1 = b->halfStream();
   const auto h2 = b->halfStream();
   EXPECT_NE(h1.stream, h2.stream);
@@ -345,21 +346,20 @@ TEST(SwScConstants, RepeatedHalvesAreIndependentWithinAnEpoch) {
   EXPECT_NEAR(prod / 255.0, 0.25, 0.06);  // p^2, not p
 }
 
-TEST(SwScConstants, PoolRewindsAcrossEpochsAndMatchesSimd) {
-  const auto scalar = scalarBackend(core::SwScSng::Lfsr, 0x31, 512);
-  const auto simd = simdBackend(core::SwScSng::Lfsr, 0x31, 512);
-  const auto a1 = scalar->halfStream();
-  (void)scalar->encodePixels(std::vector<std::uint8_t>{9});  // new epoch
-  const auto a2 = scalar->halfStream();
+TEST(SwScConstants, PoolRewindsAcrossEpochsAndMatchesOracle) {
+  const auto e = engine(core::SwScSng::Lfsr, 0x31, 512);
+  const auto a1 = e->halfStream();
+  (void)e->encodePixels(std::vector<std::uint8_t>{9});  // new epoch
+  const auto a2 = e->halfStream();
   EXPECT_EQ(a1.stream, a2.stream);  // same pooled bank, rewound
 
-  const auto s1 = simd->halfStream();
-  EXPECT_EQ(s1.stream, a1.stream);  // shared derivation across backends
+  const auto o = bitOracle(core::SwScSng::Lfsr, 0x31, 512);
+  EXPECT_EQ(o->halfStream().stream, a1.stream);  // per-bit derivation
 }
 
 // --- factory / runner plumbing ----------------------------------------------
 
-TEST(SwScSimdBackend, MakeBackendCoverage) {
+TEST(SwScEngine, SwScSimdFactoryIsTheLfsrDesignPoint) {
   core::BackendFactoryConfig cfg;
   cfg.streamLength = 128;
   cfg.seed = 0xabc;
@@ -368,10 +368,10 @@ TEST(SwScSimdBackend, MakeBackendCoverage) {
   EXPECT_STREQ(b->name(), core::designKindName(DesignKind::SwScSimd));
   EXPECT_STREQ(b->name(), "SW-SC (SIMD)");
 
-  // Factory-built SwScSimd is the batched SwScLfsr design point.
-  const auto scalar = core::makeBackend(DesignKind::SwScLfsr, cfg);
+  // Factory-built SwScSimd is the SwScLfsr design point.
+  const auto lfsr = core::makeBackend(DesignKind::SwScLfsr, cfg);
   auto a = b->encodePixels(std::vector<std::uint8_t>{10, 100, 250});
-  auto s = scalar->encodePixels(std::vector<std::uint8_t>{10, 100, 250});
+  auto s = lfsr->encodePixels(std::vector<std::uint8_t>{10, 100, 250});
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].stream, s[i].stream);
   }
@@ -388,16 +388,16 @@ TEST(SwScSfmtBackend, MakeBackendCoverage) {
   EXPECT_EQ(core::parseDesignKind("SW-SC (SFMT)"), DesignKind::SwScSfmt);
   EXPECT_EQ(core::parseDesignKind("swsc-sfmt"), DesignKind::SwScSfmt);
 
-  // The factory design point matches a hand-built scalar SFMT backend.
-  const auto scalar = scalarBackend(core::SwScSng::Sfmt, cfg.seed, 128);
+  // The factory design point matches the per-bit SFMT oracle.
+  const auto o = bitOracle(core::SwScSng::Sfmt, cfg.seed, 128);
   auto a = b->encodePixels(std::vector<std::uint8_t>{10, 100, 250});
-  auto s = scalar->encodePixels(std::vector<std::uint8_t>{10, 100, 250});
+  auto s = o->encodePixels(std::vector<std::uint8_t>{10, 100, 250});
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].stream, s[i].stream);
   }
 }
 
-TEST(SwScSimdBackend, RunAppTiledDeterministicAcrossThreadCounts) {
+TEST(SwScEngine, RunAppTiledDeterministicAcrossThreadCounts) {
   apps::RunConfig cfg;
   cfg.width = 32;
   cfg.height = 32;
@@ -425,9 +425,10 @@ TEST(SwScSimdBackend, RunAppTiledDeterministicAcrossThreadCounts) {
   }
 }
 
-TEST(SwScSimdBackend, TiledLaneFleetBitIdenticalToScalarFleet) {
-  // The same lane fleet built from scalar backends must reproduce the SIMD
-  // fleet bit for bit — parallelism and SIMD are orthogonal axes.
+TEST(SwScEngine, TiledLaneFleetBitIdenticalToPerBitOracleFleet) {
+  // A lane fleet of per-bit oracles, seeded with makeBackendLanes' stride,
+  // must reproduce the factory fleet bit for bit under the same tile
+  // schedule — the oracle lanes share no stage-1 or CORDIV code with it.
   const apps::CompositingScene scene = apps::makeCompositingScene(24, 24, 17);
   core::BackendFactoryConfig cfg;
   cfg.streamLength = 128;
@@ -435,14 +436,22 @@ TEST(SwScSimdBackend, TiledLaneFleetBitIdenticalToScalarFleet) {
   core::ParallelConfig par;
   par.threads = 2;
   par.rowsPerTile = 3;
-  core::TileExecutor simdExec(
-      core::makeBackendLanes(DesignKind::SwScSimd, cfg, 3), par);
-  core::TileExecutor scalarExec(
-      core::makeBackendLanes(DesignKind::SwScLfsr, cfg, 3), par);
+  std::vector<std::unique_ptr<ScBackend>> oracleLanes;
+  for (std::size_t i = 0; i < 3; ++i) {
+    oracleLanes.push_back(bitOracle(core::SwScSng::Lfsr,
+                                    cfg.seed + 0x9e3779b97f4a7c15ull * (i + 1),
+                                    cfg.streamLength));
+  }
+  core::TileExecutor oracleExec(std::move(oracleLanes), par);
   const apps::AppInputs in{scene.background, scene.foreground, scene.alpha};
-  EXPECT_EQ(apps::runStages(apps::AppKind::Compositing, in, simdExec).pixels(),
-            apps::runStages(apps::AppKind::Compositing, in, scalarExec)
-                .pixels());
+  const img::Image want =
+      apps::runStages(apps::AppKind::Compositing, in, oracleExec);
+  for (const DesignKind d : {DesignKind::SwScSimd, DesignKind::SwScLfsr}) {
+    core::TileExecutor exec(core::makeBackendLanes(d, cfg, 3), par);
+    EXPECT_EQ(apps::runStages(apps::AppKind::Compositing, in, exec).pixels(),
+              want.pixels())
+        << core::designKindName(d);
+  }
 }
 
 }  // namespace

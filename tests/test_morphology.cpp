@@ -1,9 +1,11 @@
 // Morphology app: 3x3 erosion/dilation via the promoted minimum/maximum
-// vocabulary, open/close compositions, SwScSimd-vs-SwScLfsr bit-identity
-// for the new ops, and tiled thread-count determinism.
+// vocabulary, open/close compositions, SW-SC bit-identity with the per-bit
+// oracle for the new ops, and tiled thread-count determinism.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "apps/filters.hpp"
@@ -11,10 +13,11 @@
 #include "apps/runner.hpp"
 #include "core/backend.hpp"
 #include "core/backend_swsc.hpp"
-#include "core/backend_swsc_simd.hpp"
 #include "core/tile_executor.hpp"
 #include "img/metrics.hpp"
 #include "img/synth.hpp"
+
+#include "op_oracle.hpp"
 
 namespace aimsc::apps {
 namespace {
@@ -84,79 +87,89 @@ TEST(MorphologyKernel, CorrelatedWindowMakesMinExact) {
   EXPECT_EQ(dilateKernel(src, *cim).pixels(), dilateReference(src).pixels());
 }
 
-// --- SwScSimd bit-identity for the promoted vocabulary ----------------------
+// --- SW-SC bit-identity with the per-bit oracle for the promoted vocabulary --
 
-core::SwScConfig swCfg(std::size_t n = 512) {
+core::SwScConfig swCfg(std::size_t n, sc::SimdMode mode) {
   core::SwScConfig cfg;
   cfg.streamLength = n;
   cfg.sng = core::SwScSng::Lfsr;
   cfg.seed = 0xfeed;
+  cfg.simd = mode;
   return cfg;
 }
 
-TEST(VocabSimdIdentity, MinimumMaximumAddApproxBitIdentical) {
-  core::SwScBackend scalar(swCfg());
-  core::SwScSimdConfig simdCfg;
-  static_cast<core::SwScConfig&>(simdCfg) = swCfg();
-  core::SwScSimdBackend simd(simdCfg);
+class VocabOracleIdentity : public ::testing::TestWithParam<sc::SimdMode> {
+ protected:
+  /// The engine at the parameter's width, and its per-bit oracle.
+  core::SwScBackend engine(std::size_t n = 512) const {
+    return core::SwScBackend(swCfg(n, GetParam()));
+  }
+  static std::unique_ptr<core::ScBackend> bitOracle(std::size_t n = 512) {
+    return oracle::swScBitOracleBackend(swCfg(n, sc::SimdMode::Auto));
+  }
+};
+
+TEST_P(VocabOracleIdentity, MinimumMaximumAddApproxBitIdentical) {
+  core::SwScBackend e = engine();
+  const auto o = bitOracle();
 
   const std::vector<std::uint8_t> a{10, 100, 200};
   const std::vector<std::uint8_t> b{240, 140, 40};
-  const auto xs = scalar.encodePixels(a);
-  const auto ys = scalar.encodePixelsCorrelated(b);
-  const auto xv = simd.encodePixels(a);
-  const auto yv = simd.encodePixelsCorrelated(b);
+  const auto xs = e.encodePixels(a);
+  const auto ys = e.encodePixelsCorrelated(b);
+  const auto xv = o->encodePixels(a);
+  const auto yv = o->encodePixelsCorrelated(b);
   for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(scalar.minimum(xs[i], ys[i]).stream,
-              simd.minimum(xv[i], yv[i]).stream);
-    EXPECT_EQ(scalar.maximum(xs[i], ys[i]).stream,
-              simd.maximum(xv[i], yv[i]).stream);
+    EXPECT_EQ(e.minimum(xs[i], ys[i]).stream, o->minimum(xv[i], yv[i]).stream);
+    EXPECT_EQ(e.maximum(xs[i], ys[i]).stream, o->maximum(xv[i], yv[i]).stream);
   }
   // addApprox wants independent inputs: fresh single-pixel epochs.
-  const core::ScValue sx = scalar.encodePixel(60);
-  const core::ScValue sy = scalar.encodePixel(90);
-  const core::ScValue vx = simd.encodePixel(60);
-  const core::ScValue vy = simd.encodePixel(90);
-  EXPECT_EQ(scalar.addApprox(sx, sy).stream, simd.addApprox(vx, vy).stream);
+  const core::ScValue sx = e.encodePixel(60);
+  const core::ScValue sy = e.encodePixel(90);
+  const core::ScValue vx = o->encodePixel(60);
+  const core::ScValue vy = o->encodePixel(90);
+  EXPECT_EQ(e.addApprox(sx, sy).stream, o->addApprox(vx, vy).stream);
+  EXPECT_EQ(e.opCount(), o->opCount());
 }
 
-TEST(VocabSimdIdentity, BernsteinSelectAndCopiesBitIdentical) {
-  core::SwScBackend scalar(swCfg());
-  core::SwScSimdConfig simdCfg;
-  static_cast<core::SwScConfig&>(simdCfg) = swCfg();
-  core::SwScSimdBackend simd(simdCfg);
+TEST_P(VocabOracleIdentity, BernsteinSelectAndCopiesBitIdentical) {
+  core::SwScBackend e = engine();
+  const auto o = bitOracle();
 
   const std::vector<double> coeffValues{0.0, 0.1, 0.45, 1.0};
-  const auto sCopies = scalar.encodeCopies(150, 3);
-  const auto vCopies = simd.encodeCopies(150, 3);
+  const auto sCopies = e.encodeCopies(150, 3);
+  const auto vCopies = o->encodeCopies(150, 3);
   ASSERT_EQ(sCopies.size(), vCopies.size());
   std::vector<core::ScValue> sCoeffs;
   std::vector<core::ScValue> vCoeffs;
   for (const double bk : coeffValues) {
-    sCoeffs.push_back(scalar.encodeProb(bk));
-    vCoeffs.push_back(simd.encodeProb(bk));
+    sCoeffs.push_back(e.encodeProb(bk));
+    vCoeffs.push_back(o->encodeProb(bk));
   }
   for (std::size_t i = 0; i < sCopies.size(); ++i) {
     EXPECT_EQ(sCopies[i].stream, vCopies[i].stream);
   }
-  EXPECT_EQ(scalar.bernsteinSelect(sCopies, sCoeffs).stream,
-            simd.bernsteinSelect(vCopies, vCoeffs).stream);
+  EXPECT_EQ(e.bernsteinSelect(sCopies, sCoeffs).stream,
+            o->bernsteinSelect(vCopies, vCoeffs).stream);
+  EXPECT_EQ(e.opCount(), o->opCount());
 }
 
-TEST(VocabSimdIdentity, GammaAndMorphologyKernelsBitIdentical) {
+TEST_P(VocabOracleIdentity, GammaAndMorphologyKernelsBitIdentical) {
   const img::Image src = img::naturalScene(12, 10, 5);
-  core::SwScBackend scalarG(swCfg(256));
-  core::SwScSimdConfig simdCfg;
-  static_cast<core::SwScConfig&>(simdCfg) = swCfg(256);
-  core::SwScSimdBackend simdG(simdCfg);
-  EXPECT_EQ(gammaKernel(src, 2.2, scalarG, 4).pixels(),
-            gammaKernel(src, 2.2, simdG, 4).pixels());
+  core::SwScBackend eG = engine(256);
+  EXPECT_EQ(gammaKernel(src, 2.2, eG, 4).pixels(),
+            gammaKernel(src, 2.2, *bitOracle(256), 4).pixels());
 
-  core::SwScBackend scalarM(swCfg(256));
-  core::SwScSimdBackend simdM(simdCfg);
-  EXPECT_EQ(openKernel(src, scalarM).pixels(),
-            openKernel(src, simdM).pixels());
+  core::SwScBackend eM = engine(256);
+  EXPECT_EQ(openKernel(src, eM).pixels(), openKernel(src, *bitOracle(256)).pixels());
 }
+
+INSTANTIATE_TEST_SUITE_P(PortableAndAuto, VocabOracleIdentity,
+                         ::testing::Values(sc::SimdMode::Portable,
+                                           sc::SimdMode::Auto),
+                         [](const auto& info) {
+                           return std::string(sc::simdModeName(info.param));
+                         });
 
 // --- tiled determinism -------------------------------------------------------
 

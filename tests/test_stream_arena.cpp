@@ -138,14 +138,24 @@ std::uint64_t steadyStateAllocs(ScBackend& b, StreamArena& arena,
 }
 
 TEST(AllocationRegression, SwScCompositingRowsAreAllocationFree) {
-  const apps::CompositingScene scene = apps::makeCompositingScene(24, 8, 11);
-  SwScConfig cfg;
-  cfg.streamLength = 256;
-  SwScBackend b(cfg);
-  StreamArena arena;
-  img::Image out(24, 8);
-  EXPECT_EQ(steadyStateAllocs(b, arena, scene, out), 0u);
-  EXPECT_EQ(arena.stats().resets, 1u);
+  // Every SNG family.  Compositing opens two fresh epochs per row, so the
+  // 78-row measured tile opens 156 epochs and crosses several epoch-block
+  // refills (16 SFMT epochs, 32 or 64 LFSR epochs per block).
+  const apps::CompositingScene scene = apps::makeCompositingScene(24, 80, 11);
+  for (const SwScSng sng : {SwScSng::Lfsr, SwScSng::Sobol, SwScSng::Sfmt}) {
+    SwScConfig cfg;
+    cfg.streamLength = 256;
+    cfg.sng = sng;
+    SwScBackend b(cfg);
+    StreamArena arena;
+    img::Image out(24, 80);
+    apps::compositeKernelRows(scene, b, arena, out, 0, 2);  // warm-up
+    arena.reset();
+    const std::uint64_t before = gAllocCount.load();
+    apps::compositeKernelRows(scene, b, arena, out, 2, 80);
+    EXPECT_EQ(gAllocCount.load() - before, 0u) << swScSngName(sng);
+    EXPECT_EQ(arena.stats().resets, 1u);
+  }
 }
 
 TEST(AllocationRegression, ReramCompositingRowsAreAllocationFree) {
